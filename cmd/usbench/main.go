@@ -151,7 +151,28 @@ func compare(old, new Report, tol float64) []string {
 	return regressions
 }
 
+// errRegressed is run's error when -compare found a regression; the
+// regressions are already printed.
+var errRegressed = errors.New("regression beyond tolerance")
+
 func main() {
+	err := run()
+	if err == nil {
+		return
+	}
+	if !errors.Is(err, errRegressed) {
+		fmt.Fprintln(os.Stderr, "usbench:", err)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		os.Exit(3) // distinct code: killed by -timeout, not broken
+	}
+	os.Exit(1)
+}
+
+// run is the whole benchmark. It returns rather than exits, so its
+// deferred profiler stop writes the profile on every path, the failing
+// ones included.
+func run() error {
 	out := flag.String("o", "BENCH_engine.json", "output file (- for stdout)")
 	dur := flag.Duration("d", 2*time.Second, "measurement duration per engine configuration")
 	comparePath := flag.String("compare", "", "old report to gate against; exit 1 on ns/cycle regression")
@@ -171,7 +192,7 @@ func main() {
 	}
 	stopProfiling, err := profiling.Start()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer stopProfiling()
 
@@ -181,10 +202,10 @@ func main() {
 	if *comparePath != "" {
 		oldBytes, err := os.ReadFile(*comparePath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := json.Unmarshal(oldBytes, &old); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *comparePath, err))
+			return fmt.Errorf("parsing %s: %w", *comparePath, err)
 		}
 	}
 
@@ -211,7 +232,7 @@ func main() {
 	}{{"ultra1", 1}, {"hybrid", 32}, {"ultra2", 256}} {
 		r, err := benchEngine(ctx, arch.name, core.Config{Window: 256, Granularity: arch.g}, ws, *dur)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		rep.Engine = append(rep.Engine, r)
 	}
@@ -219,21 +240,21 @@ func main() {
 		core.Config{Window: 256, Granularity: 1},
 		[]workload.Workload{workload.RepeatedScan(64, 50)}, *dur)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep.SteadyState = steady
 
 	// Warm the model memo the same way for both timings, then measure.
 	if _, err := benchSweep(1); err != nil {
-		fatal(err)
+		return err
 	}
 	serial, err := benchSweep(1)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	parallel, err := benchSweep(0)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	rep.Sweep = SweepResult{
 		Workers:    exp.SweepWorkers(),
@@ -253,27 +274,27 @@ func main() {
 	if poolReg != nil {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := poolReg.WriteJSON(f, man); err != nil {
-			fatal(err)
+			return err
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *metricsOut)
 	}
 
 	b, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	b = append(b, '\n')
 	if *out == "-" {
 		os.Stdout.Write(b)
 	} else {
 		if err := os.WriteFile(*out, b, 0o644); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 	}
@@ -286,16 +307,9 @@ func main() {
 			for _, r := range regressions {
 				fmt.Fprintln(os.Stderr, "  "+r)
 			}
-			os.Exit(1)
+			return errRegressed
 		}
 		fmt.Println("no regressions beyond tolerance")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "usbench:", err)
-	if errors.Is(err, context.DeadlineExceeded) {
-		os.Exit(3) // distinct code: killed by -timeout, not broken
-	}
-	os.Exit(1)
+	return nil
 }

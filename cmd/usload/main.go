@@ -402,7 +402,9 @@ func main() {
 		fail("-verify-server needs a scrapeable target: %v", preErr)
 	}
 
-	runOne := func(i int) record {
+	// runOne's result is named so that the deferred latency stamp lands
+	// in the record the caller receives, on every return path.
+	runOne := func(i int) (rec record) {
 		p := plan[i]
 		cur := inflight.Add(1)
 		for {
@@ -413,7 +415,7 @@ func main() {
 		}
 		defer inflight.Add(-1)
 
-		rec := record{Index: i, Class: p.class, Key: p.key}
+		rec = record{Index: i, Class: p.class, Key: p.key}
 		start := time.Now() //uslint:allow detorder -- latency measurement is this tool's purpose
 		defer func() {
 			rec.LatencyMs = float64(time.Since(start).Nanoseconds()) / 1e6 //uslint:allow detorder -- latency measurement is this tool's purpose

@@ -9,14 +9,17 @@
 //
 // Netlists are acyclic by construction: every gate's operands must already
 // exist, so gate IDs are a topological order and evaluation is a single
-// pass. The paper's *cyclic* segmented parallel prefix is built acyclically
+// pass. Evaluation runs a compiled form of the netlist (see Compile). The paper's *cyclic* segmented parallel prefix is built acyclically
 // with the standard wrap construction (compute the noncyclic segmented
 // prefix plus the whole-ring summary, then select), which computes the same
 // function whenever at least one segment bit is high — and the datapath
 // guarantees the oldest station's segment bit always is.
 package circuit
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Kind identifies a gate type.
 type Kind uint8
@@ -87,6 +90,8 @@ type Circuit struct {
 	gates   []gate
 	inputs  []int // ids of Input gates, in declaration order
 	outputs []int // designated output nets, in declaration order
+
+	prog atomic.Pointer[Program] // Compile's cache
 }
 
 // New returns an empty circuit.
@@ -158,48 +163,6 @@ func (c *Circuit) Output(x int) int {
 	}
 	c.outputs = append(c.outputs, x)
 	return len(c.outputs) - 1
-}
-
-// Eval computes the outputs for one input assignment. The length of in
-// must equal NumInputs.
-func (c *Circuit) Eval(in []bool) []bool {
-	if len(in) != len(c.inputs) {
-		panic(fmt.Sprintf("circuit: Eval got %d inputs, want %d", len(in), len(c.inputs)))
-	}
-	vals := make([]bool, len(c.gates))
-	next := 0
-	for id, g := range c.gates {
-		switch g.kind {
-		case Input:
-			vals[id] = in[next]
-			next++
-		case Const0:
-			vals[id] = false
-		case Const1:
-			vals[id] = true
-		case Buf:
-			vals[id] = vals[g.in[0]]
-		case Not:
-			vals[id] = !vals[g.in[0]]
-		case And2:
-			vals[id] = vals[g.in[0]] && vals[g.in[1]]
-		case Or2:
-			vals[id] = vals[g.in[0]] || vals[g.in[1]]
-		case Xor2:
-			vals[id] = vals[g.in[0]] != vals[g.in[1]]
-		case Mux2:
-			if vals[g.in[0]] {
-				vals[id] = vals[g.in[2]]
-			} else {
-				vals[id] = vals[g.in[1]]
-			}
-		}
-	}
-	out := make([]bool, len(c.outputs))
-	for i, id := range c.outputs {
-		out[i] = vals[id]
-	}
-	return out
 }
 
 // Depth returns the critical-path length, in unit gate delays, from any

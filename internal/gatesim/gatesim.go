@@ -50,72 +50,50 @@ type Result struct {
 	Retired int64
 }
 
-// datapath holds the compiled netlists, rebuilt once per configuration.
+// datapath holds the compiled Figure 4 and Figure 5 netlists with their
+// evaluation buffers.
 type datapath struct {
-	n, l, w int
-	// regCSPP is the Figure 4 netlist for one logical register: inputs
-	// per station (modified, value W+1 bits including ready); outputs per
-	// station (incoming value W+1). One circuit instance is shared by all
-	// L registers (it is the same netlist; hardware replicates it L
-	// times, simulation evaluates it L times per cycle).
-	regCSPP *circuit.Circuit
-	// seqCSPP is the Figure 5 netlist: inputs per station (segment,
-	// condition); outputs per station (all earlier stations met it).
-	seqCSPP *circuit.Circuit
+	n int
+	// regs is the Figure 4 register CSPP, one lane per logical register:
+	// hardware replicates the tree L times, one evaluation drives them all.
+	regs *regCSPP
+	// seq is the Figure 5 sequencing CSPP: inputs per station (segment,
+	// condition); outputs per station (all earlier stations met it). Lane
+	// 0 carries the stores-done scan, lane 1 the memory-ops-done scan.
+	seq *netEval
 }
 
-func newDatapath(n, l, w int) *datapath {
-	return &datapath{
-		n: n, l: l, w: w,
-		regCSPP: circuit.RegisterCSPP(n, w+1, true),
-		seqCSPP: circuit.Figure5CSPP(n, true),
-	}
+func newDatapath(n, w int) *datapath {
+	p, _ := compiled(netKey{net: "figure5", n: n}, func() (*circuit.Circuit, struct{}) {
+		return circuit.Figure5CSPP(n, true), struct{}{}
+	})
+	return &datapath{n: n, regs: newRegCSPP(n, w), seq: newNetEval(p)}
 }
 
-// forwardRegister evaluates the register CSPP netlist for one logical
-// register. vals and readys are the per-station inserted values; modified
-// marks inserting stations (the oldest must be marked by the caller).
-func (d *datapath) forwardRegister(modified []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
-	in := make([]bool, 0, d.n*(2+d.w))
+// allEarlier evaluates the Figure 5 netlist for both sequencing scans:
+// stores[p] (mem[p]) reports whether every station from the oldest up to
+// (excluding) p met storeMet (memMet). The oldest station's own outputs
+// are forced true (it has no earlier stations), as in
+// internal/cspp.AllEarlierTrue.
+func (d *datapath) allEarlier(storeMet, memMet []bool, oldest int, stores, mem []bool) {
+	in := d.seq.in
 	for i := 0; i < d.n; i++ {
-		in = append(in, modified[i])
-		v := vals[i]
-		for b := 0; b < d.w; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
+		in[2*i], in[2*i+1] = 0, 0
+		if i == oldest {
+			in[2*i] = 3
 		}
-		in = append(in, readys[i])
-	}
-	raw := d.regCSPP.Eval(in)
-	outV := make([]isa.Word, d.n)
-	outR := make([]bool, d.n)
-	stride := d.w + 1
-	for i := 0; i < d.n; i++ {
-		var v isa.Word
-		for b := 0; b < d.w; b++ {
-			if raw[i*stride+b] {
-				v |= 1 << uint(b)
-			}
+		if storeMet[i] {
+			in[2*i+1] |= 1
 		}
-		outV[i] = v
-		outR[i] = raw[i*stride+d.w]
+		if memMet[i] {
+			in[2*i+1] |= 2
+		}
 	}
-	return outV, outR
-}
-
-// allEarlier evaluates the Figure 5 netlist: out[i] reports whether every
-// station from the oldest up to (excluding) i met the condition. The
-// oldest station's own output is forced true (it has no earlier
-// stations), as in internal/cspp.AllEarlierTrue.
-func (d *datapath) allEarlier(met []bool, oldest int) []bool {
-	in := make([]bool, 0, 2*d.n)
-	for i := 0; i < d.n; i++ {
-		in = append(in, i == oldest, met[i])
+	d.seq.eval()
+	for i, w := range d.seq.out {
+		stores[i], mem[i] = w&1 == 1, w&2 == 2
 	}
-	out := d.seqCSPP.Eval(in)
-	res := make([]bool, d.n)
-	copy(res, out)
-	res[oldest] = true
-	return res
+	stores[oldest], mem[oldest] = true, true
 }
 
 // station is one execution station of the ring.
@@ -161,7 +139,10 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 	}
 	n, l, w := cfg.Window, cfg.NumRegs, cfg.Width
 	mask := isa.Word(1)<<uint(w) - 1
-	d := newDatapath(n, l, w)
+	if l > 64 {
+		return nil, fmt.Errorf("gatesim: %d registers, at most 64", l)
+	}
+	d := newDatapath(n, w)
 	var arb *memArbiter
 	if cfg.MemBandwidth > 0 {
 		arb = newMemArbiter(n, cfg.MemBandwidth)
@@ -189,13 +170,8 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 				return nil
 			}
 			in := prog[fetchPC]
-			for _, r := range in.Reads() {
-				if int(r) >= l {
-					return fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
-				}
-			}
-			if dst, ok := in.Writes(); ok && int(dst) >= l {
-				return fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
+			if err := checkRegs(in, l); err != nil {
+				return err
 			}
 			s := ring[posOf(count)]
 			*s = station{valid: true, inst: in, pc: fetchPC, seq: nextSeq,
@@ -216,113 +192,76 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Per-cycle reusable buffers.
-	modified := make([]bool, n)
-	insVal := make([]isa.Word, n)
-	insReady := make([]bool, n)
-	met := make([]bool, n)
+	// Per-cycle reusable buffers, indexed by ring position.
+	storeMet := make([]bool, n)
+	memMet := make([]bool, n)
+	storesDone := make([]bool, n)
+	memOpsDone := make([]bool, n)
+	reqs := make([]bool, n)
+	ages := make([]int, n)
+	memGrant := make([]bool, n)
+
+	// insert gives station p's inserted register r: the oldest station
+	// marks every register modified and inserts the committed register
+	// file, except for the register its own instruction writes, where it
+	// inserts its result ("the station inserts the result into the
+	// outgoing register datapath. The rest of the outgoing registers are
+	// set from the register file"). Other stations insert their result
+	// into the register they write.
+	insert := func(p, r int) (bool, isa.Word, bool) {
+		s := ring[p]
+		if dst, ok := s.inst.Writes(); s.valid && ok && int(dst) == r {
+			return true, s.result & mask, s.done
+		}
+		if p == oldestPos {
+			return true, commit[r] & mask, true
+		}
+		return false, 0, false
+	}
+	// latch: every valid station other than the oldest latches its
+	// incoming values.
+	latch := func(p int) ([]isa.Word, []bool) {
+		if p == oldestPos || !ring[p].valid {
+			return nil, nil
+		}
+		return ring[p].regs, ring[p].ready
+	}
 
 	for cycle := int64(0); cycle < cfg.MaxCycles; cycle++ {
-		// Phase 1: drive the register datapath, one CSPP tree per
-		// register, and latch incoming values into every non-oldest
-		// station's register file (paper: "Each station, other than the
-		// oldest, latches all of its incoming values").
-		for r := 0; r < l; r++ {
-			for k := 0; k < n; k++ {
-				p := posOf(k)
-				s := ring[p]
-				isOldest := k == 0
-				mod := false
-				val := isa.Word(0)
-				rdy := false
-				if isOldest {
-					// The oldest station marks every register modified and
-					// inserts the committed register file — except for the
-					// register its own instruction writes, where it inserts
-					// its result ("the station inserts the result into the
-					// outgoing register datapath. The rest of the outgoing
-					// registers are set from the register file").
-					mod = true
-					if dst, ok := s.inst.Writes(); s.valid && ok && int(dst) == r {
-						val = s.result & mask
-						rdy = s.done
-					} else {
-						val = commit[r] & mask
-						rdy = true
-					}
-				} else if s.valid {
-					if dst, ok := s.inst.Writes(); ok && int(dst) == r {
-						mod = true
-						val = s.result & mask
-						rdy = s.done
-					}
-				}
-				modified[p] = mod
-				insVal[p] = val
-				insReady[p] = rdy
-			}
-			outV, outR := d.forwardRegister(modified, insVal, insReady)
-			for k := 1; k < n; k++ { // oldest does not latch
-				p := posOf(k)
-				if ring[p].valid {
-					ring[p].regs[r] = outV[p]
-					ring[p].ready[r] = outR[p]
-				}
-			}
-			// The oldest station's file is the committed state.
-			ring[posOf(0)].regs[r] = commit[r] & mask
-			ring[posOf(0)].ready[r] = true
+		// Phase 1: drive the register datapath, the CSPP tree of every
+		// register at once, and latch incoming values into every
+		// non-oldest station's register file (paper: "Each station, other
+		// than the oldest, latches all of its incoming values"). The
+		// oldest station's file is the committed state.
+		d.regs.forward(l, insert, latch)
+		old := ring[oldestPos]
+		for r := range commit {
+			old.regs[r], old.ready[r] = commit[r]&mask, true
 		}
 
 		// Phase 2: sequencing CSPPs (Figure 5 instances): stores-done and
 		// mem-done conditions for load/store serialization.
-		for k := 0; k < n; k++ {
-			p := posOf(k)
-			s := ring[p]
-			met[p] = !s.valid || !s.inst.IsStore() || s.memDone
+		for p, s := range ring {
+			storeMet[p] = !s.valid || !s.inst.IsStore() || s.memDone
+			memMet[p] = !s.valid || !s.inst.IsMem() || s.memDone
 		}
-		storesDone := d.allEarlier(met, posOf(0))
-		for k := 0; k < n; k++ {
-			p := posOf(k)
-			s := ring[p]
-			met[p] = !s.valid || !s.inst.IsMem() || s.memDone
-		}
-		memOpsDone := d.allEarlier(met, posOf(0))
+		d.allEarlier(storeMet, memMet, oldestPos, storesDone, memOpsDone)
 
 		// Phase 3: execute. With gate-level memory arbitration, first
 		// collect this cycle's eligible memory accesses and run them
 		// through the fat-tree arbiter netlist; only granted stations may
 		// begin their access.
-		var memGrant []bool
 		if arb != nil {
-			reqs := make([]bool, n)
-			ages := make([]int, n)
 			for k := 0; k < n; k++ {
 				p := posOf(k)
 				s := ring[p]
 				ages[p] = k
-				if !s.valid || s.done || s.started || !s.inst.IsMem() {
-					continue
-				}
-				ready := true
-				for _, r := range s.inst.Reads() {
-					if !s.ready[r] {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					continue
-				}
-				if s.inst.IsLoad() && !storesDone[p] {
-					continue
-				}
-				if s.inst.IsStore() && !memOpsDone[p] {
-					continue
-				}
-				reqs[p] = true
+				reqs[p] = s.valid && !s.done && !s.started && s.inst.IsMem() &&
+					operandsReady(s) &&
+					(!s.inst.IsLoad() || storesDone[p]) &&
+					(!s.inst.IsStore() || memOpsDone[p])
 			}
-			memGrant = arb.grants(reqs, ages)
+			arb.grants(reqs, ages, memGrant)
 		}
 		for k := 0; k < n; k++ {
 			s := ring[posOf(k)]
@@ -333,22 +272,14 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 				continue
 			}
 			in := s.inst
-			ready := true
-			var a, b isa.Word
-			reads := in.Reads()
-			for j, r := range reads {
-				if !s.ready[r] {
-					ready = false
-					break
-				}
-				if j == 0 {
-					a = s.regs[r]
-				} else {
-					b = s.regs[r]
-				}
-			}
-			if !ready {
+			if !operandsReady(s) {
 				continue
+			}
+			var a, b isa.Word
+			if r1, r2, nr := in.ReadRegs(); nr == 2 {
+				a, b = s.regs[r1], s.regs[r2]
+			} else if nr == 1 {
+				a = s.regs[r1]
 			}
 			if !s.started {
 				switch {
@@ -422,4 +353,25 @@ func Run(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 		}
 	}
 	return nil, ErrNoHalt
+}
+
+// operandsReady reports whether every register s reads is ready.
+func operandsReady(s *station) bool {
+	r1, r2, nr := s.inst.ReadRegs()
+	return (nr < 1 || s.ready[r1]) && (nr < 2 || s.ready[r2])
+}
+
+// checkRegs rejects an instruction naming a register the machine lacks.
+func checkRegs(in isa.Inst, l int) error {
+	r1, r2, nr := in.ReadRegs()
+	regs := [2]uint8{r1, r2}
+	for _, r := range regs[:nr] {
+		if int(r) >= l {
+			return fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
+		}
+	}
+	if dst, ok := in.Writes(); ok && int(dst) >= l {
+		return fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ultrascalar/internal/circuit"
 	"ultrascalar/internal/isa"
 	"ultrascalar/internal/memory"
 )
@@ -64,7 +63,10 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 	}
 	n, l, w := cfg.Window, cfg.NumRegs, cfg.Width
 	mask := isa.Word(1)<<uint(w) - 1
-	grid, layout := circuit.Ultra2Grid(n, l, w, true)
+	if l > 64 {
+		return nil, fmt.Errorf("gatesim: %d registers, at most 64", l)
+	}
+	grid := newGridEval(n, l, w)
 	var arb *memArbiter
 	if cfg.MemBandwidth > 0 {
 		arb = newMemArbiter(n, cfg.MemBandwidth)
@@ -74,11 +76,25 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 	var cycles, retired int64
 	pc := 0
 
+	// The grid's initial register file is the committed one, all ready.
+	allReady := make([]bool, l)
+	for r := range allReady {
+		allReady[r] = true
+	}
+	slots := make([]u2station, n)
+	batch := make([]*u2station, 0, n)
+	state := func(int) (gridState, bool) {
+		return gridState{initVal: commit, initReady: allReady, stations: batch}, true
+	}
+	reqs := make([]bool, n)
+	ages := make([]int, n)
+	memGrant := make([]bool, n)
+
 	for cycles < cfg.MaxCycles {
 		// Fetch one batch along the architectural path: sequential
 		// instructions up to n, stopping after a control transfer or
 		// halt (resolved before the next batch) or at the window size.
-		batch := make([]*u2station, 0, n)
+		batch = batch[:0]
 		haltIdx := -1
 		for len(batch) < n {
 			if pc < 0 || pc >= len(prog) {
@@ -88,15 +104,12 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 				break
 			}
 			in := prog[pc]
-			for _, r := range in.Reads() {
-				if int(r) >= l {
-					return nil, fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
-				}
+			if err := checkRegs(in, l); err != nil {
+				return nil, err
 			}
-			if dst, ok := in.Writes(); ok && int(dst) >= l {
-				return nil, fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
-			}
-			batch = append(batch, &u2station{inst: in, pc: pc})
+			s := &slots[len(batch)]
+			*s = u2station{inst: in, pc: pc}
+			batch = append(batch, s)
 			if in.IsHalt() {
 				haltIdx = len(batch) - 1
 				break
@@ -113,11 +126,10 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 			if cycles >= cfg.MaxCycles {
 				return nil, ErrNoHalt
 			}
-			evalGrid(grid, layout, commit, batch, mask)
-			var memGrant []bool
+			grid.route(1, state)
 			if arb != nil {
-				reqs := make([]bool, n)
-				ages := make([]int, n)
+				clear(reqs)
+				clear(ages)
 				sd, md := true, true
 				for i, s := range batch {
 					ages[i] = i
@@ -132,7 +144,7 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 						md = md && s.memDone
 					}
 				}
-				memGrant = arb.grants(reqs, ages)
+				arb.grants(reqs, ages, memGrant)
 			}
 			storesDone, memDone := true, true
 			for i, s := range batch {
@@ -187,7 +199,10 @@ func RunUltra2(prog []isa.Inst, mem *memory.Flat, cfg Config) (*Result, error) {
 
 		// Batch complete: latch the final register values (the grid's
 		// outgoing columns) into the register file and refill.
-		latchOutgoing(grid, layout, commit, batch, mask)
+		// Every station is done, so one more evaluation carries the final
+		// values on the grid's outgoing columns.
+		grid.route(1, state)
+		grid.outgoing(0, commit)
 		retired += int64(len(batch))
 		if haltIdx >= 0 {
 			return &Result{Regs: commit, Mem: mem, Cycles: cycles, Retired: retired}, nil
@@ -207,118 +222,4 @@ func batchDone(batch []*u2station) bool {
 		}
 	}
 	return true
-}
-
-// evalGrid drives the Ultrascalar II grid netlist with the batch's
-// current state and captures each station's delivered arguments.
-func evalGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word, batch []*u2station, mask isa.Word) {
-	in := make([]bool, 0, lay.NumInputs())
-	push := func(v uint64, bits int) {
-		for b := 0; b < bits; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-	}
-	// Initial register file: committed values, all ready.
-	for r := 0; r < lay.L; r++ {
-		push(uint64(commit[r]&mask)|uint64(1)<<uint(lay.W), lay.W+1)
-	}
-	for s := 0; s < lay.N; s++ {
-		var st *u2station
-		if s < len(batch) {
-			st = batch[s]
-		}
-		var dest uint64
-		var writes bool
-		var result uint64
-		var argA, argB uint64
-		if st != nil {
-			if d, ok := st.inst.Writes(); ok {
-				dest, writes = uint64(d), true
-			}
-			result = uint64(st.result & mask)
-			if st.done {
-				result |= 1 << uint(lay.W) // ready bit
-			}
-			reads := st.inst.Reads()
-			if len(reads) > 0 {
-				argA = uint64(reads[0])
-			}
-			if len(reads) > 1 {
-				argB = uint64(reads[1])
-			}
-		}
-		push(dest, lay.DestW)
-		in = append(in, writes)
-		push(result, lay.W+1)
-		push(argA, lay.DestW)
-		push(argB, lay.DestW)
-	}
-	raw := grid.Eval(in)
-	pull := func(off int) (isa.Word, bool) {
-		var v isa.Word
-		for b := 0; b < lay.W; b++ {
-			if raw[off+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		return v, raw[off+lay.W]
-	}
-	for s, st := range batch {
-		a, aOK := pull((2*s + 0) * (lay.W + 1))
-		b, bOK := pull((2*s + 1) * (lay.W + 1))
-		reads := st.inst.Reads()
-		ok := true
-		if len(reads) > 0 && !aOK {
-			ok = false
-		}
-		if len(reads) > 1 && !bOK {
-			ok = false
-		}
-		st.argsA, st.argsB, st.argsOK = a, b, ok
-	}
-}
-
-// latchOutgoing reads the grid's outgoing register columns (the final
-// value of every logical register) into the committed register file.
-func latchOutgoing(grid *circuit.Circuit, lay circuit.Ultra2Layout, commit []isa.Word, batch []*u2station, mask isa.Word) {
-	// Re-evaluate with everything done so the outgoing columns carry the
-	// final values, then latch.
-	in := make([]bool, 0, lay.NumInputs())
-	push := func(v uint64, bits int) {
-		for b := 0; b < bits; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-	}
-	for r := 0; r < lay.L; r++ {
-		push(uint64(commit[r]&mask)|uint64(1)<<uint(lay.W), lay.W+1)
-	}
-	for s := 0; s < lay.N; s++ {
-		var dest uint64
-		var writes bool
-		var result uint64
-		if s < len(batch) {
-			st := batch[s]
-			if d, ok := st.inst.Writes(); ok {
-				dest, writes = uint64(d), true
-			}
-			result = uint64(st.result&mask) | 1<<uint(lay.W)
-		}
-		push(dest, lay.DestW)
-		in = append(in, writes)
-		push(result, lay.W+1)
-		push(0, lay.DestW)
-		push(0, lay.DestW)
-	}
-	raw := grid.Eval(in)
-	base := lay.N * 2 * (lay.W + 1)
-	for r := 0; r < lay.L; r++ {
-		var v isa.Word
-		off := base + r*(lay.W+1)
-		for b := 0; b < lay.W; b++ {
-			if raw[off+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		commit[r] = v
-	}
 }

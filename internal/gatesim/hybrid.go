@@ -21,6 +21,7 @@ import (
 type hybridCluster struct {
 	valid    bool
 	stations []*u2station // fixed capacity C; nil-padded after a flow stop
+	slots    []u2station  // backing store of stations
 	count    int
 
 	// incoming is the cluster's latched register file: per register, the
@@ -65,16 +66,21 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 	nC, C, l, w := cfg.Window/cfg.Cluster, cfg.Cluster, cfg.NumRegs, cfg.Width
 	mask := isa.Word(1)<<uint(w) - 1
 
-	grid, layout := circuit.Ultra2Grid(C, l, w, true)
-	interCSPP := circuit.RegisterCSPP(nC, w+1, true)
-	modOR := circuit.HybridModifiedBits(C, l, true)
+	if l > 64 {
+		return nil, fmt.Errorf("gatesim: %d registers, at most 64", l)
+	}
+	grid := newGridEval(C, l, w)
+	inter := newRegCSPP(nC, w)
+	modOR := newModifiedBits(C, l)
 
 	ring := make([]*hybridCluster, nC)
 	for i := range ring {
 		ring[i] = &hybridCluster{
 			stations: make([]*u2station, 0, C),
+			slots:    make([]u2station, C),
 			inVal:    make([]isa.Word, l),
 			inReady:  make([]bool, l),
+			modified: make([]bool, l),
 		}
 	}
 	commit := make([]isa.Word, l)
@@ -104,15 +110,12 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 					break
 				}
 				in := prog[pc]
-				for _, r := range in.Reads() {
-					if int(r) >= l {
-						return fmt.Errorf("gatesim: %s reads r%d, machine has %d registers", in, r, l)
-					}
+				if err := checkRegs(in, l); err != nil {
+					return err
 				}
-				if dst, ok := in.Writes(); ok && int(dst) >= l {
-					return fmt.Errorf("gatesim: %s writes r%d, machine has %d registers", in, dst, l)
-				}
-				cl.stations = append(cl.stations, &u2station{inst: in, pc: pc})
+				s := &cl.slots[len(cl.stations)]
+				*s = u2station{inst: in, pc: pc}
+				cl.stations = append(cl.stations, s)
 				if in.IsHalt() || in.ChangesFlow() {
 					fetchStalled = true
 					break
@@ -120,11 +123,7 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 				pc++
 			}
 			cl.count = len(cl.stations)
-			insts := make([]isa.Inst, len(cl.stations))
-			for i, s := range cl.stations {
-				insts[i] = s.inst
-			}
-			cl.modified = ClusterModifiedBits(modOR, C, l, insts)
+			modOR.eval(cl.stations, cl.modified)
 			active++
 		}
 		return nil
@@ -133,18 +132,13 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 		return nil, err
 	}
 
-	// Reusable per-register CSPP input buffers.
-	mods := make([]bool, nC)
-	vals := make([]isa.Word, nC)
-	readys := make([]bool, nC)
-
-	// clusterOutgoing computes, for a cluster, its per-register outgoing
-	// (modified, value, ready): modified bits from the Figure 9 OR
-	// netlist; values/readiness from the grid's outgoing columns when
-	// modified; the incoming file otherwise (or the committed file for
-	// the oldest cluster).
-	clusterReg := func(ci int, isOldest bool, r int) (bool, isa.Word, bool) {
-		cl := ring[ci]
+	// clusterReg gives cluster ci's outgoing (modified, value, ready) for
+	// register r, its insertion into the inter-cluster CSPP: modified
+	// bits from the Figure 9 OR netlist; value and readiness from the
+	// newest writing station when modified; the committed file for the
+	// oldest cluster otherwise.
+	clusterReg := func(ci, r int) (bool, isa.Word, bool) {
+		cl, isOldest := ring[ci], ci == oldest
 		if !cl.valid {
 			if isOldest {
 				return true, commit[r] & mask, true
@@ -173,35 +167,31 @@ func RunHybrid(prog []isa.Inst, mem *memory.Flat, cfg HybridConfig) (*Result, er
 		return false, 0, false
 	}
 
+	latch := func(ci int) ([]isa.Word, []bool) {
+		if ci == oldest || !ring[ci].valid {
+			return nil, nil
+		}
+		return ring[ci].inVal, ring[ci].inReady
+	}
+
 	for cycles < cfg.MaxCycles {
 		// Phase 1: inter-cluster CSPP per register; non-oldest clusters
 		// latch incoming values; the oldest's file is the committed state.
-		for r := 0; r < l; r++ {
-			for k := 0; k < nC; k++ {
-				p := posOf(k)
-				mods[p], vals[p], readys[p] = clusterReg(p, k == 0, r)
-			}
-			outV, outR := evalInterCSPP(interCSPP, nC, w, mods, vals, readys)
-			for k := 1; k < nC; k++ {
-				p := posOf(k)
-				if ring[p].valid {
-					ring[p].inVal[r] = outV[p]
-					ring[p].inReady[r] = outR[p]
-				}
-			}
-			old := ring[posOf(0)]
-			old.inVal[r] = commit[r] & mask
-			old.inReady[r] = true
+		// One lane per register carries every register's tree at once.
+		inter.forward(l, clusterReg, latch)
+		old := ring[oldest]
+		for r := range commit {
+			old.inVal[r], old.inReady[r] = commit[r]&mask, true
 		}
 
 		// Phase 2: within each cluster, the grid netlist routes arguments
-		// from the cluster's incoming file and earlier stations.
-		for k := 0; k < nC; k++ {
-			cl := ring[posOf(k)]
-			if !cl.valid {
-				continue
-			}
-			evalClusterGrid(grid, layout, cl, mask)
+		// from the cluster's incoming file and earlier stations, one lane
+		// per cluster.
+		for base := 0; base < nC; base += 64 {
+			grid.route(min(nC-base, 64), func(lane int) (gridState, bool) {
+				cl := ring[base+lane]
+				return gridState{initVal: cl.inVal, initReady: cl.inReady, stations: cl.stations}, cl.valid
+			})
 		}
 
 		// Phase 3: memory serialization across the whole window (global
@@ -310,129 +300,38 @@ func clusterDone(cl *hybridCluster) bool {
 	return true
 }
 
-// evalInterCSPP drives the cluster-level register CSPP netlist.
-func evalInterCSPP(c *circuit.Circuit, nC, w int, mods []bool, vals []isa.Word, readys []bool) ([]isa.Word, []bool) {
-	in := make([]bool, 0, nC*(2+w))
-	for i := 0; i < nC; i++ {
-		in = append(in, mods[i])
-		for b := 0; b < w; b++ {
-			in = append(in, vals[i]>>uint(b)&1 == 1)
-		}
-		in = append(in, readys[i])
-	}
-	raw := c.Eval(in)
-	outV := make([]isa.Word, nC)
-	outR := make([]bool, nC)
-	stride := w + 1
-	for i := 0; i < nC; i++ {
-		var v isa.Word
-		for b := 0; b < w; b++ {
-			if raw[i*stride+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		outV[i] = v
-		outR[i] = raw[i*stride+w]
-	}
-	return outV, outR
+// modifiedBits drives the Figure 9 modified-bit OR netlist
+// (circuit.HybridModifiedBits): one bit per logical register, high when
+// any station in the cluster writes it.
+type modifiedBits struct {
+	e  *netEval
+	dw int
 }
 
-// evalClusterGrid drives one cluster's Ultrascalar II grid netlist with
-// the cluster's incoming register file as the initial file.
-func evalClusterGrid(grid *circuit.Circuit, lay circuit.Ultra2Layout, cl *hybridCluster, mask isa.Word) {
-	in := make([]bool, 0, lay.NumInputs())
-	push := func(v uint64, bits int) {
-		for b := 0; b < bits; b++ {
-			in = append(in, v>>uint(b)&1 == 1)
-		}
-	}
-	for r := 0; r < lay.L; r++ {
-		v := uint64(cl.inVal[r] & mask)
-		if cl.inReady[r] {
-			v |= 1 << uint(lay.W)
-		}
-		push(v, lay.W+1)
-	}
-	for s := 0; s < lay.N; s++ {
-		var st *u2station
-		if s < len(cl.stations) {
-			st = cl.stations[s]
-		}
-		var dest uint64
-		var writes bool
-		var result uint64
-		var argA, argB uint64
-		if st != nil {
-			if d, ok := st.inst.Writes(); ok {
-				dest, writes = uint64(d), true
-			}
-			result = uint64(st.result & mask)
-			if st.done {
-				result |= 1 << uint(lay.W)
-			}
-			reads := st.inst.Reads()
-			if len(reads) > 0 {
-				argA = uint64(reads[0])
-			}
-			if len(reads) > 1 {
-				argB = uint64(reads[1])
-			}
-		}
-		push(dest, lay.DestW)
-		in = append(in, writes)
-		push(result, lay.W+1)
-		push(argA, lay.DestW)
-		push(argB, lay.DestW)
-	}
-	raw := grid.Eval(in)
-	pull := func(off int) (isa.Word, bool) {
-		var v isa.Word
-		for b := 0; b < lay.W; b++ {
-			if raw[off+b] {
-				v |= 1 << uint(b)
-			}
-		}
-		return v, raw[off+lay.W]
-	}
-	for s, st := range cl.stations {
-		if st == nil {
-			continue
-		}
-		a, aOK := pull((2*s + 0) * (lay.W + 1))
-		b, bOK := pull((2*s + 1) * (lay.W + 1))
-		reads := st.inst.Reads()
-		ok := true
-		if len(reads) > 0 && !aOK {
-			ok = false
-		}
-		if len(reads) > 1 && !bOK {
-			ok = false
-		}
-		st.argsA, st.argsB, st.argsOK = a, b, ok
-	}
-}
-
-// ClusterModifiedBits evaluates the Figure 9 modified-bit OR netlist for a
-// batch of instructions: one bit per logical register, high when any
-// station in the cluster writes it. Exposed for the datapath tests.
-func ClusterModifiedBits(c *circuit.Circuit, nStations, l int, insts []isa.Inst) []bool {
+func newModifiedBits(c, l int) *modifiedBits {
+	p, _ := compiled(netKey{net: "modified", n: c, l: l}, func() (*circuit.Circuit, struct{}) {
+		return circuit.HybridModifiedBits(c, l, true), struct{}{}
+	})
 	dw := 1
 	for 1<<dw < l {
 		dw++
 	}
-	in := make([]bool, 0, nStations*(dw+1))
-	for s := 0; s < nStations; s++ {
-		var dest uint64
-		var writes bool
-		if s < len(insts) {
-			if d, ok := insts[s].Writes(); ok {
-				dest, writes = uint64(d), true
-			}
+	return &modifiedBits{e: newNetEval(p), dw: dw}
+}
+
+// eval computes the modified bits of a cluster's stations into mod.
+func (m *modifiedBits) eval(stations []*u2station, mod []bool) {
+	in := m.e.in
+	clear(in)
+	for s, st := range stations {
+		if d, ok := st.inst.Writes(); ok {
+			off := s * (m.dw + 1)
+			setBits(in, off, uint64(d), 1)
+			in[off+m.dw] = 1
 		}
-		for b := 0; b < dw; b++ {
-			in = append(in, dest>>uint(b)&1 == 1)
-		}
-		in = append(in, writes)
 	}
-	return c.Eval(in)
+	m.e.eval()
+	for r, w := range m.e.out {
+		mod[r] = w&1 == 1
+	}
 }

@@ -6,9 +6,8 @@ import "ultrascalar/internal/circuit"
 // memory-access arbitration: per-level link capacities min(2^h, M), age
 // tags giving the oldest requests priority.
 type memArbiter struct {
-	c      *circuit.Circuit
+	e      *netEval
 	layout circuit.FatTreeArbiterLayout
-	n      int
 }
 
 func newMemArbiter(n, m int) *memArbiter {
@@ -22,40 +21,36 @@ func newMemArbiter(n, m int) *memArbiter {
 	if levels == 0 {
 		size, levels = 2, 1 // a degenerate 1-station tree still needs a root
 	}
-	caps := make([]int, levels)
-	for h := 1; h <= levels; h++ {
-		c := 1 << h
-		if c > m {
-			c = m
+	p, lay := compiled(netKey{net: "arbiter", n: size, m: m}, func() (*circuit.Circuit, circuit.FatTreeArbiterLayout) {
+		caps := make([]int, levels)
+		for h := 1; h <= levels; h++ {
+			caps[h-1] = min(1<<h, m)
 		}
-		caps[h-1] = c
-	}
-	tagW := 1
-	for 1<<tagW < size {
-		tagW++
-	}
-	tagW++ // headroom so ages 0..size-1 are distinct tags
-	c, lay := circuit.FatTreeArbiter(size, tagW, caps)
-	return &memArbiter{c: c, layout: lay, n: n}
+		tagW := 1
+		for 1<<tagW < size {
+			tagW++
+		}
+		tagW++ // headroom so ages 0..size-1 are distinct tags
+		return circuit.FatTreeArbiter(size, tagW, caps)
+	})
+	return &memArbiter{e: newNetEval(p), layout: lay}
 }
 
-// grants evaluates the arbiter netlist: reqs and ages are indexed by ring
-// position; ages must be distinct for requesting positions.
-func (a *memArbiter) grants(reqs []bool, ages []int) []bool {
-	in := make([]bool, 0, a.layout.N*(1+a.layout.TagW))
-	for i := 0; i < a.layout.N; i++ {
-		req := i < len(reqs) && reqs[i]
-		age := 0
-		if i < len(ages) {
-			age = ages[i]
+// grants evaluates the arbiter netlist into grant: reqs, ages and grant
+// are indexed by ring position; ages must be distinct for requesting
+// positions.
+func (a *memArbiter) grants(reqs []bool, ages []int, grant []bool) {
+	in := a.e.in
+	clear(in)
+	for i, req := range reqs {
+		off := i * (1 + a.layout.TagW)
+		if req {
+			in[off] = 1
 		}
-		in = append(in, req)
-		for b := 0; b < a.layout.TagW; b++ {
-			in = append(in, age>>uint(b)&1 == 1)
-		}
+		setBits(in, off+1, uint64(ages[i]), 1)
 	}
-	out := a.c.Eval(in)
-	grants := make([]bool, len(reqs))
-	copy(grants, out[:len(reqs)])
-	return grants
+	a.e.eval()
+	for i := range grant {
+		grant[i] = a.e.out[i]&1 == 1
+	}
 }

@@ -127,10 +127,13 @@ COMPARED=$(summary_field "$WORK/overload-summary.json" baseline_compared)
 [ "$SHED" -ge 1 ] || fail "an overload burst shed nothing (queue 64, $REQUESTS offered)"
 [ "$DONE" -ge 1 ] || fail "the overloaded server completed nothing"
 [ "$COMPARED" -ge 1 ] || fail "no responses were compared against the baseline"
-grep -q '"store_errors\|persist error\|resource-exhausted' \
-    "$WORK/usserve-chaos.jsonl" "$WORK/usserve-chaos.prom" 2>/dev/null ||
-    echo "load_chaos: B: note: no injected fault fired during the burst"
-echo "load_chaos: B: $DONE done / $SHED shed of $REQUESTS; $COMPARED responses byte-identical to baseline; conservation exact"
+# The faults must have fired, or phase B proved nothing about storage
+# chaos: the server counts every failed persist and cache store.
+FIRED=$(awk '$1 == "serve_persist_errors" || $1 == "serve_cache_store_errors" { n += $2 } END { print n + 0 }' \
+    "$WORK/usserve-chaos.prom")
+[ "$FIRED" -ge 1 ] ||
+    fail "no injected storage fault fired during the burst (serve_persist_errors + serve_cache_store_errors = $FIRED)"
+echo "load_chaos: B: $DONE done / $SHED shed of $REQUESTS; $COMPARED responses byte-identical to baseline; conservation exact; $FIRED storage faults fired"
 
 # --- Phase C: corrupt every cache entry; quarantine + recompute. -------
 ENTRIES=$(ls "$CACHE"/*.entry 2>/dev/null | wc -l)
