@@ -35,6 +35,7 @@ import (
 
 	"ultrascalar/internal/fleet"
 	"ultrascalar/internal/obs"
+	"ultrascalar/internal/serve"
 )
 
 // job mirrors the serve.Job fields usstat renders (decoded loosely so
@@ -205,15 +206,6 @@ func runValidateProm(client *http.Client, base string) error {
 	return nil
 }
 
-// terminalState mirrors the serve job lifecycle's final states.
-func terminalState(s string) bool {
-	switch s {
-	case "done", "failed", "canceled", "interrupted":
-		return true
-	}
-	return false
-}
-
 // followJob streams one job's NDJSON progress, one line per change,
 // until the job reaches a terminal state. A dropped stream (worker
 // restart, network blip) reconnects with backoff and resumes; the
@@ -253,7 +245,7 @@ func followJob(client *http.Client, base, id string, r *reconnector) error {
 		}
 		serr := sc.Err()
 		resp.Body.Close()
-		if printed && terminalState(last.State) {
+		if printed && serve.TerminalState(last.State) {
 			return nil
 		}
 		if serr == nil {

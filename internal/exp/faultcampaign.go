@@ -2,18 +2,14 @@ package exp
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
-	"ultrascalar/internal/atomicio"
 	"ultrascalar/internal/core"
 	"ultrascalar/internal/fault"
 	"ultrascalar/internal/hybrid"
 	"ultrascalar/internal/isa"
-	"ultrascalar/internal/obs"
 	obslog "ultrascalar/internal/obs/log"
 	"ultrascalar/internal/ref"
 	"ultrascalar/internal/ultra1"
@@ -65,6 +61,25 @@ type FaultCampaignConfig struct {
 	// checkpoint or freshly run) with the completed and total counts.
 	// Purely observational — it must not influence results.
 	Progress func(done, total int)
+}
+
+// withDefaults resolves the zero-valued selections: Cluster to
+// max(Window/4, 1), and nil Archs, Sites and Workloads to the full
+// sets.
+func (cfg FaultCampaignConfig) withDefaults() FaultCampaignConfig {
+	if cfg.Cluster == 0 {
+		cfg.Cluster = max(cfg.Window/4, 1)
+	}
+	if len(cfg.Archs) == 0 {
+		cfg.Archs = FaultArchs
+	}
+	if len(cfg.Sites) == 0 {
+		cfg.Sites = fault.AllSites()
+	}
+	if len(cfg.Workloads) == 0 {
+		cfg.Workloads = FaultWorkloads()
+	}
+	return cfg
 }
 
 // FaultWorkloads returns the default campaign suite: small kernels that
@@ -230,41 +245,25 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("exp: campaign needs n >= 1 trials per cell, got %d", cfg.N)
 	}
-	if cfg.Cluster == 0 {
-		cfg.Cluster = cfg.Window / 4
-		if cfg.Cluster < 1 {
-			cfg.Cluster = 1
-		}
-	}
-	archs := cfg.Archs
-	if len(archs) == 0 {
-		archs = FaultArchs
-	}
-	sites := cfg.Sites
-	if len(sites) == 0 {
-		sites = fault.AllSites()
-	}
+	cfg = cfg.withDefaults()
 	wls := cfg.Workloads
-	if len(wls) == 0 {
-		wls = FaultWorkloads()
-	}
 
 	// The shard list in deterministic order; each shard's key feeds
 	// pointSeed, so the list's composition — not its order — shapes
 	// results.
 	var shards []faultShard
-	for _, arch := range archs {
+	for _, arch := range cfg.Archs {
 		if _, err := ArchConfig(arch, cfg.Window, cfg.Cluster); err != nil {
 			return nil, err
 		}
 		for _, wl := range wls {
-			for _, site := range sites {
+			for _, site := range cfg.Sites {
 				shards = append(shards, faultShard{arch: arch, wl: wl, site: site})
 			}
 		}
 	}
 
-	ck, err := openCheckpoint(cfg, archs, sites, wls)
+	ck, err := OpenCheckpoint(cfg.Checkpoint, cfg.Fingerprint())
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +349,7 @@ func RunFaultCampaignCtx(ctx context.Context, cfg FaultCampaignConfig) (*fault.R
 		}
 		rep.Cells = append(rep.Cells, cell)
 		cksp := rec.Start(trace, "checkpoint", sh.key())
-		err = ck.record(sh.key(), cell)
+		err = ck.Record(sh.key(), cell)
 		cksp.End()
 		if err != nil {
 			return nil, err
@@ -441,145 +440,4 @@ func runShard(ctx context.Context, sh faultShard, cfg FaultCampaignConfig, ecfg 
 		cell.SquashedStations += p.squashed
 	}
 	return cell, nil
-}
-
-// The checkpoint file is JSONL: a header line binding the campaign
-// configuration, then one line per completed shard. Resuming verifies the
-// header so a stale file from a differently-configured campaign fails
-// loudly instead of silently mixing results.
-
-type checkpointHeader struct {
-	Magic       string `json:"magic"`
-	Fingerprint string `json:"fingerprint"`
-}
-
-type checkpointLine struct {
-	Shard string     `json:"shard"`
-	Cell  fault.Cell `json:"cell"`
-}
-
-// v2: point seeds are keyed by shard identity (arch/workload/site)
-// instead of shard index, so v1 checkpoints hold cells a v2 campaign
-// would not reproduce; the magic bump makes them fail loudly.
-const checkpointMagic = "usfault-checkpoint/v2"
-
-// fingerprint binds a checkpoint to everything that shapes shard results.
-func fingerprint(cfg FaultCampaignConfig, archs []string, sites []fault.Site, wls []workload.Workload) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d n=%d window=%d cluster=%d detect=%s archs=%s",
-		cfg.Seed, cfg.N, cfg.Window, cfg.Cluster, cfg.Detect, strings.Join(archs, ","))
-	b.WriteString(" sites=")
-	for i, s := range sites {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(s.String())
-	}
-	b.WriteString(" workloads=")
-	for i, w := range wls {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(w.Name)
-	}
-	return b.String()
-}
-
-// checkpointer records completed shards; an empty path means
-// checkpointing is off. Every record rewrites the whole file through
-// atomicio.WriteFile, so a crash — even mid-write, even power loss —
-// leaves the previous complete checkpoint rather than a torn one. The
-// lines slice keeps the file's exact content in memory (header first),
-// which also keeps shard order stable across rewrites.
-type checkpointer struct {
-	path  string
-	lines []string
-	done  map[string]fault.Cell
-}
-
-// openCheckpoint loads any existing checkpoint (verifying its
-// fingerprint) and prepares the checkpointer for recording new shards.
-// A truncated final line — the signature of a crash mid-append under
-// the pre-atomic format, or of filesystem-level truncation — is
-// detected and dropped: that shard simply reruns. Corruption anywhere
-// else still fails loudly, since it cannot be explained by a torn tail.
-func openCheckpoint(cfg FaultCampaignConfig, archs []string, sites []fault.Site,
-	wls []workload.Workload) (*checkpointer, error) {
-	ck := &checkpointer{done: map[string]fault.Cell{}}
-	if cfg.Checkpoint == "" {
-		return ck, nil
-	}
-	ck.path = cfg.Checkpoint
-	fp := fingerprint(cfg, archs, sites, wls)
-	data, err := os.ReadFile(cfg.Checkpoint)
-	switch {
-	case os.IsNotExist(err):
-		hdr, _ := json.Marshal(checkpointHeader{Magic: checkpointMagic, Fingerprint: fp})
-		ck.lines = []string{string(hdr)}
-		if err := ck.flush(); err != nil {
-			return nil, err
-		}
-		return ck, nil
-	case err != nil:
-		return nil, fmt.Errorf("exp: reading checkpoint: %w", err)
-	}
-	var lines []string
-	// The shared big-buffer scanner: checkpoint records can exceed
-	// bufio.Scanner's default 64 KiB token cap.
-	sc := obs.NewLineScanner(strings.NewReader(string(data)))
-	for sc.Scan() {
-		if len(strings.TrimSpace(sc.Text())) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("exp: checkpoint %s is empty", cfg.Checkpoint)
-	}
-	var hdr checkpointHeader
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil || hdr.Magic != checkpointMagic {
-		return nil, fmt.Errorf("exp: %s is not a campaign checkpoint", cfg.Checkpoint)
-	}
-	if hdr.Fingerprint != fp {
-		return nil, fmt.Errorf("exp: checkpoint %s was written by a different campaign\n  have: %s\n  want: %s",
-			cfg.Checkpoint, hdr.Fingerprint, fp)
-	}
-	ck.lines = lines[:1]
-	for i, raw := range lines[1:] {
-		var line checkpointLine
-		if err := json.Unmarshal([]byte(raw), &line); err != nil {
-			if i == len(lines[1:])-1 {
-				break // torn tail: drop the partial shard, it reruns
-			}
-			return nil, fmt.Errorf("exp: corrupt checkpoint line %q: %w", raw, err)
-		}
-		ck.done[line.Shard] = line.Cell
-		ck.lines = append(ck.lines, raw)
-	}
-	// Rewrite immediately so a dropped torn tail does not linger on disk.
-	if err := ck.flush(); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// record persists one completed shard by atomically rewriting the file.
-func (c *checkpointer) record(key string, cell fault.Cell) error {
-	if c.path == "" {
-		return nil
-	}
-	line, err := json.Marshal(checkpointLine{Shard: key, Cell: cell})
-	if err != nil {
-		return err
-	}
-	c.lines = append(c.lines, string(line))
-	c.done[key] = cell
-	return c.flush()
-}
-
-// flush writes the in-memory checkpoint image to disk crash-atomically.
-func (c *checkpointer) flush() error {
-	if err := atomicio.WriteFile(c.path, []byte(strings.Join(c.lines, "\n")+"\n"), 0o644); err != nil {
-		return fmt.Errorf("exp: writing checkpoint: %w", err)
-	}
-	return nil
 }

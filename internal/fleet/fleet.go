@@ -51,14 +51,23 @@ type CampaignSpec struct {
 	Trials  int   `json:"trials"`
 }
 
+// campaign is the full campaign the spec's shards add up to — the one
+// a worker runs a cell of and usfault runs whole — so its fingerprint
+// and checkpoint are exactly the single-process runner's.
+func (s CampaignSpec) campaign() exp.FaultCampaignConfig {
+	return exp.FaultCampaignConfig{Seed: s.Seed, Window: s.Window, Cluster: s.Cluster,
+		N: s.Trials, Detect: fault.DetectGolden}
+}
+
 // Config tunes the coordinator.
 type Config struct {
 	// Workers is the worker base URLs (at least one).
 	Workers []string
 	// Campaign is the campaign to distribute.
 	Campaign CampaignSpec
-	// Checkpoint is the coordinator checkpoint path ("" = none: a
-	// killed coordinator restarts from scratch).
+	// Checkpoint is the campaign checkpoint path, in the format
+	// usfault writes ("" = none: a killed coordinator restarts from
+	// scratch).
 	Checkpoint string
 	// LeaseTTL bounds one shard dispatch end to end; past it the lease
 	// expires and the shard is re-dispatched (default 2m).
@@ -180,14 +189,15 @@ const (
 
 // Coordinator runs one distributed campaign.
 type Coordinator struct {
-	cfg      Config
-	breakers *serve.Breakers
-	log      *obslog.Logger
+	cfg         Config
+	fingerprint string // the campaign's checkpoint fingerprint
+	breakers    *serve.Breakers
+	log         *obslog.Logger
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	shards    []*shardState
-	doneCells map[string]fault.Cell // checkpointed results by shard key
+	ckpt      *exp.Checkpointer
 	doneCount int
 	resumed   int
 	runErr    error
@@ -231,10 +241,11 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("fleet: campaign needs trials >= 1, got %d", cfg.Campaign.Trials)
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		breakers: serve.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
-		log:      cfg.Log.With("fleet"),
-		workers:  map[string]*workerState{},
+		cfg:         cfg,
+		fingerprint: cfg.Campaign.campaign().Fingerprint(),
+		breakers:    serve.NewBreakers(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Clock),
+		log:         cfg.Log.With("fleet"),
+		workers:     map[string]*workerState{},
 	}
 	c.cond = sync.NewCond(&c.mu)
 	// The per-request timeout scales with the heartbeat: a hung worker
@@ -291,7 +302,7 @@ func (c *Coordinator) observeShardMs(ms float64) {
 // worker-side job: coordinator lease events and worker job events
 // carry the same 16-hex identity.
 func (c *Coordinator) traceFor(key string, attempt int) obslog.TraceID {
-	return obslog.DeriveTraceID(fmt.Sprintf("fleet:%s:%s:%d", c.cfg.Campaign.Fingerprint(), key, attempt))
+	return obslog.DeriveTraceID(fmt.Sprintf("fleet:%s:%s:%d", c.fingerprint, key, attempt))
 }
 
 // Run distributes the campaign and returns the merged report. The
@@ -300,17 +311,17 @@ func (c *Coordinator) traceFor(key string, attempt int) obslog.TraceID {
 // crashes, retries or hedging.
 func (c *Coordinator) Run(ctx context.Context) (*fault.Report, error) {
 	shards := exp.CampaignShards()
-	done, err := loadCheckpoint(c.cfg.Checkpoint, c.cfg.Campaign)
+	ckpt, err := exp.OpenCheckpoint(c.cfg.Checkpoint, c.fingerprint)
 	if err != nil {
 		return nil, err
 	}
+	done := ckpt.Done()
 	c.mu.Lock()
-	c.doneCells = map[string]fault.Cell{}
+	c.ckpt = ckpt
 	for _, sh := range shards {
 		st := &shardState{shard: sh}
 		if cell, ok := done[sh.Key()]; ok {
 			st.done, st.cell = true, cell
-			c.doneCells[sh.Key()] = cell
 			c.doneCount++
 			c.resumed++
 		}
@@ -750,9 +761,7 @@ func (c *Coordinator) merge(sh *shardState, l *lease, rec serve.Job, lg *obslog.
 	// Checkpoint before the result becomes visible: a coordinator
 	// killed between these two steps re-runs the shard (idempotent by
 	// key), never loses a merged result it acted on.
-	c.doneCells[sh.shard.Key()] = cell
-	if err := writeCheckpoint(c.cfg.Checkpoint, c.cfg.Campaign, c.doneCells); err != nil {
-		delete(c.doneCells, sh.shard.Key())
+	if err := c.ckpt.Record(sh.shard.Key(), cell); err != nil {
 		c.mu.Unlock()
 		c.fatal(err)
 		c.release(sh, l)

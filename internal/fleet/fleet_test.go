@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -29,10 +30,7 @@ var testSpec = CampaignSpec{Seed: 5, Window: 6, Trials: 1}
 // reference every fleet result is compared against.
 func directReport(t *testing.T) string {
 	t.Helper()
-	rep, err := exp.RunFaultCampaign(exp.FaultCampaignConfig{
-		Seed: testSpec.Seed, Window: testSpec.Window, Cluster: testSpec.Cluster,
-		N: testSpec.Trials, Detect: fault.DetectGolden,
-	})
+	rep, err := exp.RunFaultCampaign(testSpec.campaign())
 	if err != nil {
 		t.Fatalf("direct campaign: %v", err)
 	}
@@ -146,22 +144,28 @@ func TestFleetResume(t *testing.T) {
 		t.Fatalf("resume should recover every shard from checkpoint, got %d/%d", st.Resumed, st.ShardsTotal)
 	}
 
-	// Partial checkpoint: drop some shards and resume against a real
-	// worker; only the dropped ones may be dispatched.
-	done, err := loadCheckpoint(ckpt, testSpec)
+	// Partial checkpoint: rewrite it without some shards and resume
+	// against a real worker; only the dropped ones may be dispatched.
+	fp := testSpec.campaign().Fingerprint()
+	full, err := exp.OpenCheckpoint(ckpt, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := 0
-	for k := range done {
-		if dropped == 7 {
-			break
-		}
-		delete(done, k)
-		dropped++
-	}
-	if err := writeCheckpoint(ckpt, testSpec, done); err != nil {
+	if err := os.Remove(ckpt); err != nil {
 		t.Fatal(err)
+	}
+	partial, err := exp.OpenCheckpoint(ckpt, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dropped = 7
+	for i, sh := range exp.CampaignShards() {
+		if i < dropped {
+			continue
+		}
+		if err := partial.Record(sh.Key(), full.Done()[sh.Key()]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg3 := fastConfig(newWorker(t))
 	cfg3.Checkpoint = ckpt
@@ -179,13 +183,23 @@ func TestFleetResume(t *testing.T) {
 // different campaign configuration must refuse to load.
 func TestFleetCheckpointFingerprintMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "fleet.ckpt")
-	if err := writeCheckpoint(ckpt, testSpec, map[string]fault.Cell{"a/b/c": {}}); err != nil {
+	ck, err := exp.OpenCheckpoint(ckpt, testSpec.campaign().Fingerprint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.Record("a/b/c", fault.Cell{}); err != nil {
 		t.Fatal(err)
 	}
 	other := testSpec
 	other.Seed++
-	if _, err := loadCheckpoint(ckpt, other); err == nil {
-		t.Fatal("loading a checkpoint with a mismatched fingerprint should fail")
+	cfg := fastConfig("http://127.0.0.1:1")
+	cfg.Campaign, cfg.Checkpoint = other, ckpt
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "different campaign") {
+		t.Fatalf("a coordinator resumed from another campaign's checkpoint: err = %v", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package obslog_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -195,6 +197,12 @@ func TestChromeTraceExportValidates(t *testing.T) {
 	}
 	if !strings.Contains(out, "trace "+string(a)) || !strings.Contains(out, "trace "+string(b)) {
 		t.Error("per-trace thread names missing")
+	}
+
+	// The exact bytes are pinned: the span exporter shares obs's
+	// encoder, and this fixed span set must keep exporting identically.
+	if sum := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); sum != "edbc5f1d56d7c11555db9e138792c547803c58c075fea09b2be967a87bb00401" {
+		t.Errorf("span export bytes changed (sha256 %s):\n%s", sum, out)
 	}
 
 	// Determinism: same spans, same bytes.

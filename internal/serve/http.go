@@ -281,14 +281,14 @@ func (m *Manager) handleProgress(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if terminalState(cur.State) || gone() {
+		if TerminalState(cur.State) || gone() {
 			return
 		}
 		next, serr := m.WaitProgress(id, cur, gone)
 		if serr != nil || gone() {
 			return
 		}
-		if next == cur && terminalState(next.State) {
+		if next == cur && TerminalState(next.State) {
 			return
 		}
 		cur = next

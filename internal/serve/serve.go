@@ -1167,8 +1167,8 @@ type Progress struct {
 	ShardsTotal int    `json:"shards_total"`
 }
 
-// terminalState reports whether a job state is final.
-func terminalState(state string) bool {
+// TerminalState reports whether a job state is final.
+func TerminalState(state string) bool {
 	switch state {
 	case StateDone, StateFailed, StateCanceled, StateInterrupted:
 		return true
@@ -1211,7 +1211,7 @@ func (m *Manager) WaitProgress(id string, prev Progress, wake func() bool) (Prog
 			return Progress{}, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
 		}
 		cur := m.progressLocked(job)
-		if cur != prev || terminalState(cur.State) || (wake != nil && wake()) {
+		if cur != prev || TerminalState(cur.State) || (wake != nil && wake()) {
 			return cur, nil
 		}
 		m.progCond.Wait()

@@ -55,15 +55,26 @@ func TestBreakerTransitionMetrics(t *testing.T) {
 	var logBuf syncBuffer
 	lg := obslog.New(&logBuf, obslog.Options{Level: obslog.LevelDebug})
 	livelock := true
+	// The probe holds until the half-open assertions are done, so the
+	// worker cannot close the breaker before the test reads the gauge.
+	probeRelease := make(chan struct{})
+	var releaseOnce sync.Once
+	releaseProbe := func() { releaseOnce.Do(func() { close(probeRelease) }) }
 	m := newTestManager(t, Config{
 		Workers: 1, BreakerThreshold: 2, BreakerCooldown: 30 * time.Second,
 		Clock: clock, Metrics: reg, Log: lg,
 	})
+	t.Cleanup(releaseProbe) // runs before the manager's drain on an early failure
 	m.testExec = func(ctx context.Context, job *Job) (string, error) {
 		if livelock {
 			return "", fmt.Errorf("run: %w", core.ErrLivelock)
 		}
-		return "ok", nil
+		select {
+		case <-probeRelease:
+			return "ok", nil
+		case <-ctx.Done():
+			return "", ctx.Err()
+		}
 	}
 
 	req := JobRequest{Kind: "sim", Arch: "ultra1", Window: 4, Workload: "fib"}
@@ -129,6 +140,7 @@ func TestBreakerTransitionMetrics(t *testing.T) {
 	}
 
 	// The probe's success closes the breaker.
+	releaseProbe()
 	waitState(t, m, probe.ID, StateDone)
 	if got := transitions(BreakerClosed); got != 1 {
 		t.Fatalf("transitions to closed = %d, want 1", got)
@@ -166,6 +178,23 @@ func TestCampaignJobTelemetry(t *testing.T) {
 		t.Fatalf("job trace = %q, want %q", job.Trace, wantTrace)
 	}
 	waitState(t, m, job.ID, StateDone)
+
+	// The job's last log line and its lifecycle trace export both come
+	// after the job turns terminal (outside the manager lock), the
+	// export last, so wait for the trace file before reading either.
+	tracePath := filepath.Join(traceDir, job.ID+".trace.json")
+	var data []byte
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		data, err = os.ReadFile(tracePath)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("trace file: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// Progress reached completion.
 	prog, serr := m.Progress(job.ID)
@@ -220,22 +249,7 @@ func TestCampaignJobTelemetry(t *testing.T) {
 		t.Errorf("only %d log lines carry the job trace", traced)
 	}
 
-	// The exported lifecycle trace is Perfetto-loadable. The export
-	// runs after the job turns terminal (outside the manager lock), so
-	// give the file a moment to land.
-	tracePath := filepath.Join(traceDir, job.ID+".trace.json")
-	var data []byte
-	var err error
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		data, err = os.ReadFile(tracePath)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("trace file: %v", err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// The exported lifecycle trace is Perfetto-loadable.
 	if err := obs.ValidateChromeTrace(data); err != nil {
 		t.Errorf("exported job trace invalid: %v", err)
 	}
