@@ -1,7 +1,8 @@
 // Command usfleet coordinates a fault campaign across N usserve
 // workers. It splits the campaign into its (arch × workload × site)
 // shards, leases each shard to a worker over the job API, heartbeats
-// the leases, retries failures behind capped exponential backoff with
+// the leases with long-polled progress probes (a lease ends as soon as
+// its job does), retries failures behind capped exponential backoff with
 // full jitter, circuit-breaks workers that keep failing, hedges
 // straggler shards onto idle workers (first result wins, losers are
 // cancelled), and checkpoints every merged result crash-atomically —
@@ -50,7 +51,7 @@ func main() {
 	out := flag.String("out", "", "write the merged report here (atomic; empty = stdout)")
 	statusAddr := flag.String("status", "", "serve /status, /metrics and /healthz on this address (empty = off)")
 	lease := flag.Duration("lease", 2*time.Minute, "per-shard lease TTL; past it the shard is re-dispatched")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "lease progress-poll interval")
+	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "longest liveness-probe wait: each progress probe long-polls its worker for up to this long, and a failed probe is retried after it")
 	missed := flag.Int("missed-heartbeats", 3, "consecutive failed polls that declare a worker silently dead")
 	hedgeAfter := flag.Duration("hedge-after", 0, "lease age past which an idle worker hedges the shard (0 = lease/2, negative = off)")
 	leasesPer := flag.Int("leases-per-worker", 2, "concurrent leases offered to each worker")

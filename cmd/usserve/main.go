@@ -11,8 +11,8 @@
 //
 // Endpoints (see the README "Serving" section): /healthz, /readyz,
 // /jobs (POST submit, GET list), /jobs/{id} (GET status, DELETE
-// cancel), /jobs/{id}/report, /jobs/{id}/progress (?stream=1 for
-// NDJSON), /metrics (?format=prom for Prometheus text exposition), and
+// cancel), /jobs/{id}/report, /jobs/{id}/progress (?wait=<ms> to
+// long-poll for a change, ?stream=1 for NDJSON), /metrics (?format=prom for Prometheus text exposition), and
 // /debug/pprof/ behind -pprof.
 //
 // Telemetry flags: -log writes structured JSONL (one trace ID per job

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"ultrascalar/internal/branch"
 	"ultrascalar/internal/isa"
@@ -236,17 +237,19 @@ func RunCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config) 
 		return nil, err
 	}
 	nr, w := cfg.NumRegs, cfg.Window
-	// Station and engine slices come out of one arena per element type
-	// (the station file carves its int64/isa.Word shares off the same two
-	// arenas), so a Run's setup cost is a fixed handful of allocations
-	// however large the register file and window are.
-	i64 := make([]int64, stationArena64(w)+4*nr+2*(w+1))
-	wrd := make([]isa.Word, stationArenaWords(w)+2*nr)
+	// Station and engine slices come out of one recycled arena per
+	// element type (the station file carves its int64/isa.Word shares off
+	// the same two arenas), so a Run's setup cost is a fixed handful of
+	// allocations however large the register file and window are, and
+	// none once the pool is warm.
+	arena := getArena(w, nr)
+	defer arenaPool.Put(arena)
+	i64, wrd := arena.i64, arena.wrd
 	e := &engine{
 		cfg:            cfg,
 		prog:           prog,
 		mem:            mem,
-		st:             newStations(w, &i64, &wrd),
+		st:             newStations(w, arena, &i64, &wrd),
 		memReqs:        make([]memory.Request, 0, w),
 		memCands:       make([]memCand, 0, w),
 		fwdDirty:       true,
@@ -353,7 +356,10 @@ func RunCtx(ctx context.Context, prog []isa.Inst, mem *memory.Flat, cfg Config) 
 			if e.met != nil {
 				e.metricsTick() // final snapshot at halt
 			}
-			return &Result{Regs: e.commit, Mem: e.mem, Stats: e.stats, Timeline: e.timeline}, nil
+			// Regs and Occupancy live in the arena, which the next run
+			// reuses: the Result gets copies.
+			e.stats.Occupancy = slices.Clone(e.stats.Occupancy)
+			return &Result{Regs: slices.Clone(e.commit), Mem: e.mem, Stats: e.stats, Timeline: e.timeline}, nil
 		}
 		e.fetch()
 	}

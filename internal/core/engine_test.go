@@ -412,3 +412,32 @@ func TestStatsSanity(t *testing.T) {
 		t.Errorf("mean occupancy %.2f out of range", mo)
 	}
 }
+
+// TestResultOutlivesArenaReuse: runs recycle their station arenas, so a
+// Result must own its registers and occupancy histogram — a later run
+// on the same window must not rewrite an earlier run's Result.
+func TestResultOutlivesArenaReuse(t *testing.T) {
+	kernels := workload.Kernels()
+	cfg := Config{Window: 16}
+	first, err := Run(kernels[0].Prog, kernels[0].Mem(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := append([]isa.Word(nil), first.Regs...)
+	occ := append([]int64(nil), first.Stats.Occupancy...)
+	for _, w := range kernels[1:] {
+		if _, err := Run(w.Prog, w.Mem(), cfg); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+	}
+	for r := range regs {
+		if first.Regs[r] != regs[r] {
+			t.Fatalf("r%d of an earlier run changed from %d to %d after later runs", r, regs[r], first.Regs[r])
+		}
+	}
+	for k := range occ {
+		if first.Stats.Occupancy[k] != occ[k] {
+			t.Fatalf("Occupancy[%d] of an earlier run changed from %d to %d after later runs", k, occ[k], first.Stats.Occupancy[k])
+		}
+	}
+}

@@ -27,6 +27,7 @@ package core
 
 import (
 	"math/bits"
+	"sync"
 
 	"ultrascalar/internal/isa"
 )
@@ -176,21 +177,54 @@ func carve[T any](arena *[]T, n int) []T {
 	return s
 }
 
-// stationArena64 and stationArenaWords are the int64 and isa.Word arena
-// shares of a w-slot station file; RunCtx sizes its combined arenas with
-// them so the station and engine slices come out of one allocation per
-// element type.
-func stationArena64(w int) int    { return 7 * w }
-func stationArenaWords(w int) int { return 5 * w }
+// runArena is one run's backing store: one slice per element type, off
+// which RunCtx and newStations carve every station and engine slice.
+// Arenas are recycled through arenaPool, so back-to-back runs (a fault
+// campaign's thousands of trials) reuse the same memory instead of
+// allocating a fresh window each time. Nothing carved from an arena may
+// outlive its run: RunCtx copies what the Result keeps.
+type runArena struct {
+	i64  []int64
+	wrd  []isa.Word
+	i32  []int32
+	u8   []uint8
+	bw   []uint64
+	inst []isa.Inst
+}
 
-// newStations builds the station file for a w-slot window, carving the
-// int64 and isa.Word slices off the caller's arenas (sized with
-// stationArena64/stationArenaWords).
-func newStations(w int, i64 *[]int64, wrd *[]isa.Word) stations {
+var arenaPool = sync.Pool{New: func() any { return new(runArena) }}
+
+// getArena returns a zeroed arena sized for a w-slot window and nr
+// registers; return it to arenaPool when the run is over.
+func getArena(w, nr int) *runArena {
+	a := arenaPool.Get().(*runArena)
 	nw := (w + 63) >> 6
-	i32 := make([]int32, 13*w)
-	u8 := make([]uint8, 6*w)
-	bw := make([]uint64, 17*nw)
+	a.i64 = zeroed(a.i64, 7*w+4*nr+2*(w+1))
+	a.wrd = zeroed(a.wrd, 5*w+2*nr)
+	a.i32 = zeroed(a.i32, 13*w)
+	a.u8 = zeroed(a.u8, 6*w)
+	a.bw = zeroed(a.bw, 17*nw)
+	a.inst = zeroed(a.inst, w)
+	return a
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing
+// array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// newStations builds the station file for a w-slot window, carving its
+// slices off the arena's int64 and isa.Word slices (which RunCtx carves
+// further) and taking its other slices whole.
+func newStations(w int, a *runArena, i64 *[]int64, wrd *[]isa.Word) stations {
+	nw := (w + 63) >> 6
+	i32, u8, bw := a.i32, a.u8, a.bw
 	var st stations
 	st.seq = carve(i64, w)
 	st.issue = carve(i64, w)
@@ -222,7 +256,7 @@ func newStations(w int, i64 *[]int64, wrd *[]isa.Word) stations {
 	st.r2 = carve(&u8, w)
 	st.nsrc = carve(&u8, w)
 	st.srcN = carve(&u8, w)
-	st.inst = make([]isa.Inst, w)
+	st.inst = a.inst
 	st.busy = carve(&bw, nw)
 	st.ready = carve(&bw, nw)
 	st.started = carve(&bw, nw)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -15,6 +16,29 @@ func TestPlanDeterminism(t *testing.T) {
 	c := NewPlan(43, p)
 	if a.Equal(c) {
 		t.Fatal("different seeds produced identical 50-fault plans")
+	}
+}
+
+// TestPlanRecycledRandMatchesFresh: NewPlan re-seeds pooled generators;
+// every plan must equal the one a fresh rand.New(rand.NewSource(seed))
+// draws, across seeds, parameter shapes and generators left in any
+// state by the previous draw.
+func TestPlanRecycledRandMatchesFresh(t *testing.T) {
+	params := []GenParams{
+		{Window: 16, NumRegs: 32, MaxCycle: 500, N: 50},
+		{Window: 1, NumRegs: 1, MaxCycle: 1, N: 3},
+		{Window: 256, NumRegs: 8, MaxCycle: 1 << 20, N: 1, Sites: []Site{SiteReadyStuck0}},
+		{Window: 64, NumRegs: 32, MaxCycle: 5000, N: 7, StuckDur: 3},
+		{Window: 0, NumRegs: 0, MaxCycle: 0, N: 0},
+	}
+	for seed := int64(-40); seed < 400; seed += 3 {
+		for _, p := range params {
+			want := genPlan(rand.New(rand.NewSource(seed)), seed, p)
+			if got := NewPlan(seed, p); !got.Equal(want) {
+				t.Fatalf("seed %d params %+v: recycled generator diverges\n%s\nvs fresh\n%s",
+					seed, p, got.Encode(), want.Encode())
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Plan is a deterministic fault schedule: the faults to inject into one
@@ -31,10 +32,23 @@ type GenParams struct {
 	StuckDur int64
 }
 
+// rngPool recycles NewPlan's generators: a campaign draws one plan per
+// trial, and a fresh rand.Source per draw is a ~5 KB allocation.
+// Seeding a recycled generator restarts exactly the sequence a fresh
+// rand.New(rand.NewSource(seed)) would produce.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // NewPlan generates a random fault plan from the seed. Identical
 // (seed, params) always yield an identical plan.
 func NewPlan(seed int64, p GenParams) *Plan {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(rng)
+	rng.Seed(seed)
+	return genPlan(rng, seed, p)
+}
+
+// genPlan draws a plan from rng, which must be freshly seeded with seed.
+func genPlan(rng *rand.Rand, seed int64, p GenParams) *Plan {
 	sites := p.Sites
 	if len(sites) == 0 {
 		sites = AllSites()

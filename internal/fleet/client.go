@@ -140,10 +140,17 @@ func (c *Client) Job(ctx context.Context, id string) (serve.Job, error) {
 }
 
 // Progress fetches one job's shard-completion view — the coordinator's
-// heartbeat probe.
-func (c *Client) Progress(ctx context.Context, id string) (serve.Progress, error) {
+// heartbeat probe. A positive wait long-polls: the worker holds the
+// request until the view changes, the job is terminal, or wait (capped
+// server-side) runs out. wait must stay below the HTTP client's
+// timeout, or a healthy but idle job reads as a missed heartbeat.
+func (c *Client) Progress(ctx context.Context, id string, wait time.Duration) (serve.Progress, error) {
+	path := "/jobs/" + id + "/progress"
+	if ms := wait.Milliseconds(); ms > 0 {
+		path += "?wait=" + strconv.FormatInt(ms, 10)
+	}
 	var p serve.Progress
-	err := c.do(ctx, http.MethodGet, "/jobs/"+id+"/progress", nil, &p)
+	err := c.do(ctx, http.MethodGet, path, nil, &p)
 	return p, err
 }
 

@@ -16,16 +16,17 @@
 //	   └──── backoff ◀────────┘  (lease expiry, missed heartbeats,
 //	                              worker error, job failure)
 //
-// Failure handling is layered: heartbeats (progress polls) detect
-// silent worker death in a few intervals; the lease deadline bounds
-// total shard runtime even when the worker keeps answering; retries
-// re-enter the pending queue behind capped exponential backoff with
-// full jitter; per-worker circuit breakers (the serve breaker, keyed
-// by worker URL) cool down a worker that keeps failing; and straggler
-// shards are hedged — re-dispatched to an idle worker, first result
-// wins, the loser is cancelled. Every merged result is written to a
-// crash-atomic checkpoint before the coordinator acts on it, so a
-// SIGKILLed coordinator resumes without re-running completed shards.
+// Failure handling is layered: heartbeats (long-polled progress probes
+// that return the moment the job finishes) detect silent worker death
+// in a few intervals; the lease deadline bounds total shard runtime
+// even when the worker keeps answering; retries re-enter the pending
+// queue behind capped exponential backoff with full jitter; per-worker
+// circuit breakers (the serve breaker, keyed by worker URL) cool down a
+// worker that keeps failing; and straggler shards are hedged —
+// re-dispatched to an idle worker, first result wins, the loser is
+// cancelled. Every merged result is written to a crash-atomic
+// checkpoint before the coordinator acts on it, so a SIGKILLed
+// coordinator resumes without re-running completed shards.
 package fleet
 
 import (
@@ -72,7 +73,11 @@ type Config struct {
 	// LeaseTTL bounds one shard dispatch end to end; past it the lease
 	// expires and the shard is re-dispatched (default 2m).
 	LeaseTTL time.Duration
-	// Heartbeat is the progress-poll interval (default 500ms).
+	// Heartbeat is the longest one liveness probe waits (default 500ms):
+	// each progress poll long-polls the worker for up to Heartbeat, so a
+	// lease ends as soon as its job does, and after a failed poll the
+	// lease waits Heartbeat before probing again. Lease-expiry and
+	// hedge-loser checks run between polls, at most Heartbeat apart.
 	Heartbeat time.Duration
 	// MissedHeartbeats is how many consecutive failed polls declare the
 	// worker silently dead (default 3).
@@ -248,17 +253,7 @@ func New(cfg Config) (*Coordinator, error) {
 		workers:     map[string]*workerState{},
 	}
 	c.cond = sync.NewCond(&c.mu)
-	// The per-request timeout scales with the heartbeat: a hung worker
-	// (SIGSTOP, wedged disk) must fail a poll within a few heartbeats,
-	// not after a long generic HTTP timeout — silent-death detection is
-	// MissedHeartbeats × (poll timeout + interval) end to end.
-	reqTimeout := 4 * cfg.Heartbeat
-	if reqTimeout < time.Second {
-		reqTimeout = time.Second
-	}
-	if reqTimeout > 10*time.Second {
-		reqTimeout = 10 * time.Second
-	}
+	reqTimeout := requestTimeout(cfg.Heartbeat)
 	for _, w := range cfg.Workers {
 		if _, dup := c.workers[w]; dup {
 			return nil, fmt.Errorf("fleet: duplicate worker URL %s", w)
@@ -272,6 +267,18 @@ func New(cfg Config) (*Coordinator, error) {
 		c.inc("fleet.breaker_transitions", obs.Label{Key: "worker", Value: worker}, obs.Label{Key: "to", Value: to})
 	})
 	return c, nil
+}
+
+// requestTimeout is the per-request HTTP timeout for a heartbeat
+// interval. It scales with the heartbeat: a hung worker (SIGSTOP, wedged
+// disk) must fail a poll within a few heartbeats, not after a long
+// generic HTTP timeout — silent-death detection is MissedHeartbeats ×
+// (request timeout + Heartbeat) end to end. 4×Heartbeat clamped to
+// [1s, 10s], but never under 2×Heartbeat: a poll that long-polls for
+// a full Heartbeat must finish inside its own timeout.
+func requestTimeout(heartbeat time.Duration) time.Duration {
+	t := min(max(4*heartbeat, time.Second), 10*time.Second)
+	return max(t, 2*heartbeat)
 }
 
 // metric helpers — every call tolerates a nil registry.
@@ -573,15 +580,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// terminal reports whether a job state is final.
-func terminal(state string) bool {
-	switch state {
-	case serve.StateDone, serve.StateFailed, serve.StateCanceled, serve.StateInterrupted:
-		return true
-	}
-	return false
-}
-
 // bgCancel best-effort cancels a job outside the run context (used for
 // hedge losers and expired leases, where the run may be shutting down).
 func bgCancel(cl *Client, jobID string) {
@@ -594,7 +592,11 @@ func bgCancel(cl *Client, jobID string) {
 }
 
 // runLease executes one lease: submit the shard as a job, heartbeat it
-// to completion, and merge or retry.
+// to completion, and merge or retry. Each heartbeat long-polls for up to
+// Heartbeat, so the lease sees its job finish within one round trip;
+// only a failed poll is followed by a Heartbeat sleep, and an unchanged
+// view that came back early (a worker that ignores the wait) is slept
+// out to a full Heartbeat, so no worker is ever polled in a tight loop.
 func (c *Coordinator) runLease(ctx context.Context, worker string, sh *shardState, l *lease) {
 	ws := c.workers[worker]
 	cl := ws.client
@@ -669,11 +671,8 @@ func (c *Coordinator) runLease(ctx context.Context, worker string, sh *shardStat
 			c.retryShard(sh, l, retryLeaseExpired, 0)
 			return
 		}
-		if !sleepCtx(ctx, c.cfg.Heartbeat) {
-			c.release(sh, l)
-			return
-		}
-		p, perr := cl.Progress(ctx, job.ID)
+		polled := time.Now()
+		p, perr := cl.Progress(ctx, job.ID, c.cfg.Heartbeat)
 		if perr != nil {
 			if ctx.Err() != nil {
 				c.release(sh, l)
@@ -692,13 +691,22 @@ func (c *Coordinator) runLease(ctx context.Context, worker string, sh *shardStat
 				c.retryShard(sh, l, retryWorkerDead, 0)
 				return
 			}
+			if !sleepCtx(ctx, c.cfg.Heartbeat) {
+				c.release(sh, l)
+				return
+			}
 			continue
 		}
 		misses = 0
-		last = p
-		if terminal(p.State) {
+		if serve.TerminalState(p.State) {
+			last = p
 			break
 		}
+		if p == last && !sleepCtx(ctx, c.cfg.Heartbeat-time.Since(polled)) {
+			c.release(sh, l)
+			return
+		}
+		last = p
 	}
 
 	if last.State != serve.StateDone {

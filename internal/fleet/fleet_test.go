@@ -118,6 +118,86 @@ func TestFleetMergedReportMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestFleetLongPollEndsLeaseWithJob: heartbeats long-poll, so with a
+// full second of Heartbeat a shard job that computes in milliseconds
+// still merges in far less than one heartbeat, and no worker-ignorant
+// timer paces the campaign.
+func TestFleetLongPollEndsLeaseWithJob(t *testing.T) {
+	cfg := fastConfig(newWorker(t))
+	cfg.Heartbeat = time.Second
+	cfg.Metrics = obs.NewRegistry()
+	want := directReport(t)
+	start := time.Now()
+	c, got := runFleet(t, cfg)
+	took := time.Since(start)
+	if got != want {
+		t.Fatalf("report diverges under long-polled heartbeats")
+	}
+	st := c.Status()
+	if st.Retries != 0 || st.Dispatches != st.ShardsTotal {
+		t.Fatalf("long-polled run retried: %+v", st)
+	}
+	// Each lease used to last at least one full heartbeat: 63 shards
+	// over 2 lease slots is >= 31 s of timer sleeps.
+	hist := cfg.Metrics.Peek(0).Histograms["fleet.shard_ms"]
+	if hist.Count != int64(st.ShardsTotal) {
+		t.Fatalf("fleet.shard_ms has %d observations, want %d", hist.Count, st.ShardsTotal)
+	}
+	if mean := hist.Sum / float64(hist.Count); mean > 300 {
+		t.Fatalf("mean lease %.0f ms with a 1 s heartbeat; leases wait on the timer, not the job", mean)
+	}
+	if took > 15*time.Second {
+		t.Fatalf("63 millisecond shards took %v with a 1 s heartbeat", took)
+	}
+}
+
+// TestFleetPacesWorkerIgnoringWait: a worker that answers every
+// long-poll at once with an unchanged view is still probed at most once
+// per Heartbeat, never in a tight loop.
+func TestFleetPacesWorkerIgnoringWait(t *testing.T) {
+	stuck := &stuckWorker{}
+	srv := httptest.NewServer(stuck)
+	t.Cleanup(srv.Close)
+	cfg := fastConfig(srv.URL)
+	cfg.Heartbeat = 100 * time.Millisecond
+	cfg.LeasesPerWorker = 1
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := c.Run(ctx); err == nil {
+		t.Fatal("a campaign on a worker that never finishes a job completed")
+	}
+	stuck.mu.Lock()
+	defer stuck.mu.Unlock()
+	// One lease for 1 s at 100 ms: about ten probes, plus the first,
+	// whose view differs from the empty one before it.
+	if stuck.submits != 1 || stuck.progress > 13 {
+		t.Fatalf("%d submits, %d progress polls in 1 s at a 100 ms heartbeat", stuck.submits, stuck.progress)
+	}
+}
+
+// TestFleetRequestTimeoutCoversLongPoll: the HTTP timeout keeps its
+// heartbeat scaling but always leaves a full-Heartbeat long-poll room
+// to answer.
+func TestFleetRequestTimeoutCoversLongPoll(t *testing.T) {
+	cases := []struct{ heartbeat, want time.Duration }{
+		{5 * time.Millisecond, time.Second},
+		{500 * time.Millisecond, 2 * time.Second},
+		{2 * time.Second, 8 * time.Second},
+		{5 * time.Second, 10 * time.Second},
+		{10 * time.Second, 20 * time.Second},
+		{time.Minute, 2 * time.Minute},
+	}
+	for _, c := range cases {
+		if got := requestTimeout(c.heartbeat); got != c.want {
+			t.Errorf("requestTimeout(%v) = %v, want %v", c.heartbeat, got, c.want)
+		}
+	}
+}
+
 // TestFleetResume: a coordinator restarted over a complete checkpoint
 // must not contact any worker, and a partial checkpoint must only
 // dispatch the missing shards — both producing the reference report.
@@ -361,9 +441,10 @@ func TestFleetSurvivesSilentWorkerDeath(t *testing.T) {
 // responsive but never finishing. Exercises lease expiry (and, with a
 // healthy partner, hedging).
 type stuckWorker struct {
-	mu      sync.Mutex
-	submits int
-	cancels int
+	mu       sync.Mutex
+	submits  int
+	cancels  int
+	progress int
 }
 
 func (s *stuckWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -380,6 +461,7 @@ func (s *stuckWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprint(w, "{}")
 	case strings.HasSuffix(r.URL.Path, "/progress"):
+		s.progress++
 		parts := strings.Split(r.URL.Path, "/")
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.Progress{ID: parts[2], State: serve.StateRunning})

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"time"
 
 	"ultrascalar/internal/obs"
 	obslog "ultrascalar/internal/obs/log"
@@ -20,7 +21,8 @@ import (
 //	GET    /jobs               list all jobs in ID order
 //	GET    /jobs/{id}          one job's record (state, error, report)
 //	GET    /jobs/{id}/report   the finished job's report as text/plain
-//	GET    /jobs/{id}/progress shard-completion counts; ?stream=1 for NDJSON
+//	GET    /jobs/{id}/progress shard-completion counts; ?wait=<ms> long-polls
+//	                           for a change, ?stream=1 streams NDJSON
 //	DELETE /jobs/{id}          cancel a queued or running job
 //	GET    /metrics            obs registry snapshot as JSON
 //	GET    /metrics?format=prom  Prometheus text exposition
@@ -32,8 +34,10 @@ import (
 // Every route is instrumented: serve.http_ms{route=...} latency
 // histograms, serve.http_requests{route=...,code=...} counters, a
 // serve.http_inflight gauge, and serve.errors{kind=...} counters for
-// every taxonomy rejection. Request logging is a sampled debug stream
-// (1-in-8) so a scrape-heavy deployment does not drown the job log.
+// every taxonomy rejection. The progress route's latency includes the
+// time a ?wait= long-poll or a ?stream=1 request is held open. Request
+// logging is a sampled debug stream (1-in-8) so a scrape-heavy
+// deployment does not drown the job log.
 
 // httpMsBounds buckets route latencies from sub-millisecond health
 // checks to multi-second report fetches.
@@ -241,31 +245,54 @@ func (m *Manager) Handler() http.Handler {
 	return mux
 }
 
+// maxProgressWait caps a ?wait= long-poll, whatever the client asks
+// for, so a held request never outlives a sane client timeout. A var
+// only so tests can shorten it.
+var maxProgressWait = 60 * time.Second
+
 // handleProgress serves one job's shard-completion view. Plain requests
-// answer once; ?stream=1 holds the connection and emits one NDJSON line
-// per change until the job reaches a terminal state or the client goes
-// away.
+// answer at once. ?wait=<ms> holds the request until the view changes
+// from the one current on arrival, the job is terminal, the wait
+// (capped at maxProgressWait) runs out, or the client goes away — a
+// heartbeat that returns the moment its job finishes. ?stream=1 holds
+// the connection and emits one NDJSON line per change until the job
+// reaches a terminal state or the client goes away.
 func (m *Manager) handleProgress(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
+	var wait time.Duration
+	if s := r.URL.Query().Get("wait"); s != "" {
+		ms, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || ms < 0 {
+			m.writeError(w, &Error{Kind: KindInvalidConfig, Status: 400,
+				Msg: fmt.Sprintf("wait must be a non-negative integer of milliseconds, got %q", s)})
+			return
+		}
+		wait = maxProgressWait
+		if ms < maxProgressWait.Milliseconds() {
+			wait = time.Duration(ms) * time.Millisecond
+		}
+	}
 	cur, serr := m.Progress(id)
 	if serr != nil {
 		m.writeError(w, serr)
 		return
 	}
-	if r.URL.Query().Get("stream") == "" {
+	stream := r.URL.Query().Get("stream") != ""
+	if !stream && (wait == 0 || TerminalState(cur.State)) {
 		writeJSON(w, http.StatusOK, cur)
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
-	// progCond has no timed wait, so wake the watcher loop when the
-	// client disconnects; WaitProgress then returns and the gone check
-	// breaks the loop.
+	// progCond has no timed wait, so wake the waiter when the context
+	// ends — the client disconnecting or, for a long-poll, the wait
+	// running out; WaitProgress then returns and the gone check ends
+	// the request.
 	ctx := r.Context()
+	if !stream {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, wait)
+		defer cancel()
+	}
 	stop := context.AfterFunc(ctx, func() {
 		m.mu.Lock()
 		m.progCond.Broadcast()
@@ -273,6 +300,21 @@ func (m *Manager) handleProgress(w http.ResponseWriter, r *http.Request) {
 	})
 	defer stop()
 	gone := func() bool { return ctx.Err() != nil }
+
+	if !stream {
+		next, serr := m.WaitProgress(id, cur, gone)
+		if serr != nil {
+			m.writeError(w, serr)
+			return
+		}
+		writeJSON(w, http.StatusOK, next)
+		return
+	}
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
 
 	for {
 		if err := enc.Encode(cur); err != nil {

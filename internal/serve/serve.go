@@ -214,8 +214,13 @@ type Manager struct {
 	log      *obslog.Logger // component "serve"; nil when logging is off
 	trace    obslog.TraceID // the service's own lifecycle trace (drain etc.)
 
-	mu         sync.Mutex
-	jobs       map[string]*Job
+	mu   sync.Mutex
+	jobs map[string]*Job // runnable jobs, and finished ones not yet safely on disk
+	// finished indexes finished jobs whose records were evicted from jobs
+	// once persisted: their final progress view, so Progress and
+	// WaitProgress answer from memory while Get, List and Cancel read the
+	// full record back from Dir/jobs.
+	finished   map[string]Progress
 	order      []string // job IDs, ascending; listings and recovery iterate this
 	cancels    map[string]context.CancelFunc
 	nextSeq    int
@@ -318,6 +323,7 @@ func New(cfg Config) (*Manager, error) {
 		log:        cfg.Log.With("serve"),
 		trace:      obslog.DeriveTraceID("usserve"),
 		jobs:       map[string]*Job{},
+		finished:   map[string]Progress{},
 		cancels:    map[string]context.CancelFunc{},
 		progress:   map[string]shardProgress{},
 		queueSpans: map[string]obslog.Span{},
@@ -397,6 +403,8 @@ func New(cfg Config) (*Manager, error) {
 // recover loads persisted jobs from Dir/jobs. Jobs found running were
 // interrupted by a crash: they are demoted to interrupted and, like
 // queued and previously-interrupted jobs, re-enqueued in ID order.
+// Only those runnable records stay in memory; finished ones enter the
+// finished index and are read back from disk on demand.
 func (m *Manager) recover() ([]string, error) {
 	ents, err := os.ReadDir(filepath.Join(m.cfg.Dir, "jobs"))
 	if err != nil {
@@ -424,7 +432,11 @@ func (m *Manager) recover() ([]string, error) {
 			// other process would assign.
 			job.Trace = string(obslog.DeriveTraceID(job.ID))
 		}
-		m.jobs[job.ID] = &job
+		if evictable(job.State) {
+			m.finished[job.ID] = m.progressLocked(&job)
+		} else {
+			m.jobs[job.ID] = &job
+		}
 		m.order = append(m.order, job.ID)
 		var seq int
 		if _, err := fmt.Sscanf(job.ID, "job-%06d", &seq); err == nil && seq >= m.nextSeq {
@@ -682,36 +694,63 @@ func (m *Manager) gaugeAdmitLevel() {
 // Get returns a copy of one job.
 func (m *Manager) Get(id string) (*Job, *Error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	job, ok := m.jobs[id]
-	if !ok {
-		return nil, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
+	if job, ok := m.jobs[id]; ok {
+		defer m.mu.Unlock()
+		return snapshot(job), nil
 	}
-	return snapshot(job), nil
+	_, evicted := m.finished[id]
+	m.mu.Unlock()
+	if evicted {
+		return m.loadRecord(id)
+	}
+	return nil, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
 }
 
 // List returns copies of all jobs in ID order — deterministic output
-// regardless of map iteration.
+// regardless of map iteration. Evicted records are read back from disk
+// outside the lock; one that cannot be read is listed as its index
+// entry (ID, trace and final state) and the failure is logged.
 func (m *Manager) List() []*Job {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Job, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, snapshot(m.jobs[id]))
+	out := make([]*Job, len(m.order))
+	var evicted []int
+	for i, id := range m.order {
+		if job, ok := m.jobs[id]; ok {
+			out[i] = snapshot(job)
+		} else {
+			p := m.finished[id]
+			out[i] = &Job{ID: p.ID, Trace: p.Trace, State: p.State}
+			evicted = append(evicted, i)
+		}
+	}
+	m.mu.Unlock()
+	for _, i := range evicted {
+		job, serr := m.loadRecord(out[i].ID)
+		if serr != nil {
+			m.log.Warn("job record unreadable", obslog.String("id", out[i].ID), obslog.String("err", serr.Msg))
+			continue
+		}
+		out[i] = job
 	}
 	return out
 }
 
 // Cancel cancels a queued or running job. Queued jobs flip to canceled
 // immediately (the worker skips them on dequeue); running jobs have
-// their context canceled and classify as canceled when they unwind.
+// their context canceled and classify as canceled when they unwind. A
+// finished job is returned unchanged.
 func (m *Manager) Cancel(id string) (*Job, *Error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	job, ok := m.jobs[id]
 	if !ok {
+		_, evicted := m.finished[id]
+		m.mu.Unlock()
+		if evicted {
+			return m.loadRecord(id)
+		}
 		return nil, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
 	}
+	defer m.mu.Unlock()
 	switch job.State {
 	case StateQueued:
 		// The job's queue slot stays counted in depth until a worker
@@ -722,7 +761,7 @@ func (m *Manager) Cancel(id string) (*Job, *Error) {
 		job.State = StateCanceled
 		job.ErrorKind = KindCanceled
 		job.Error = "canceled before start"
-		m.persistLocked(job)
+		m.settleLocked(job)
 		m.progCond.Broadcast()
 		m.log.WithTrace(obslog.TraceID(job.Trace)).Info("job canceled while queued",
 			obslog.String("id", id))
@@ -760,8 +799,8 @@ func (m *Manager) Drain(ctx context.Context) {
 	m.log.Info("drain start", obslog.Int("depth", m.depth))
 	defer m.log.Info("drain done")
 	for _, id := range m.order {
-		job := m.jobs[id]
-		if job.State == StateRunning && job.Request.Kind == "campaign" {
+		job, ok := m.jobs[id] // finished records may be evicted
+		if ok && job.State == StateRunning && job.Request.Kind == "campaign" {
 			if cancel := m.cancels[id]; cancel != nil {
 				cancel()
 			}
@@ -958,7 +997,7 @@ func (m *Manager) finishJob(id string, req JobRequest, res execResult, err error
 			m.mFailed.Inc()
 		}
 	}
-	m.persistLocked(job)
+	m.settleLocked(job)
 	return job.State, job.ErrorKind
 }
 
@@ -1185,15 +1224,23 @@ func (m *Manager) progressLocked(job *Job) Progress {
 	}
 }
 
+// viewLocked returns one job's progress view, from its in-memory record
+// or the finished index; m.mu must be held.
+func (m *Manager) viewLocked(id string) (Progress, *Error) {
+	if job, ok := m.jobs[id]; ok {
+		return m.progressLocked(job), nil
+	}
+	if p, ok := m.finished[id]; ok {
+		return p, nil
+	}
+	return Progress{}, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
+}
+
 // Progress returns one job's current progress.
 func (m *Manager) Progress(id string) (Progress, *Error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	job, ok := m.jobs[id]
-	if !ok {
-		return Progress{}, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
-	}
-	return m.progressLocked(job), nil
+	return m.viewLocked(id)
 }
 
 // WaitProgress blocks until the job's progress view changes from prev
@@ -1206,11 +1253,10 @@ func (m *Manager) WaitProgress(id string, prev Progress, wake func() bool) (Prog
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		job, ok := m.jobs[id]
-		if !ok {
-			return Progress{}, &Error{Kind: KindNotFound, Msg: "no job " + id, Status: 404}
+		cur, serr := m.viewLocked(id)
+		if serr != nil {
+			return Progress{}, serr
 		}
-		cur := m.progressLocked(job)
 		if cur != prev || TerminalState(cur.State) || (wake != nil && wake()) {
 			return cur, nil
 		}
@@ -1228,25 +1274,68 @@ func snapshot(job *Job) *Job {
 	return &cp
 }
 
-// persistLocked writes the job record crash-atomically; m.mu must be
-// held. Persistence failures are deliberately non-fatal for the job
-// itself (the in-memory state is authoritative while the process
-// lives), but they are counted and logged — a silently unpersisted
-// record is exactly the kind of state the resource-exhaustion chaos
-// run exists to notice.
-func (m *Manager) persistLocked(job *Job) {
+// persistLocked writes the job record crash-atomically and reports
+// whether it is on disk; m.mu must be held. Persistence failures are
+// deliberately non-fatal for the job itself (the in-memory state is
+// authoritative while the process lives), but they are counted and
+// logged — a silently unpersisted record is exactly the kind of state
+// the resource-exhaustion chaos run exists to notice.
+func (m *Manager) persistLocked(job *Job) bool {
 	data, err := json.MarshalIndent(job, "", "  ")
 	if err != nil {
-		return
+		return false
 	}
-	path := filepath.Join(m.cfg.Dir, "jobs", job.ID+".json")
-	if err := atomicio.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := atomicio.WriteFile(m.recordPath(job.ID), append(data, '\n'), 0o644); err != nil {
 		if m.mPersistErr != nil {
 			m.mPersistErr.Inc()
 		}
 		m.log.Warn("job record persist failed",
 			obslog.String("id", job.ID), obslog.String("err", err.Error()))
+		return false
 	}
+	return true
+}
+
+// evictable reports whether a job in this state is finished for good:
+// done, failed or canceled. Interrupted jobs run again after a restart
+// and stay in memory.
+func evictable(state string) bool {
+	return state == StateDone || state == StateFailed || state == StateCanceled
+}
+
+// settleLocked persists a job's record and, once a finished record is
+// safely on disk, evicts it to the finished index, so a long-lived
+// worker's memory does not grow with every job it has ever run. A record
+// whose write failed stays in memory, which remains authoritative.
+// m.mu must be held.
+func (m *Manager) settleLocked(job *Job) {
+	if !m.persistLocked(job) || !evictable(job.State) {
+		return
+	}
+	m.finished[job.ID] = m.progressLocked(job)
+	delete(m.jobs, job.ID)
+	delete(m.progress, job.ID)
+}
+
+// recordPath is where a job's record lives.
+func (m *Manager) recordPath(id string) string {
+	return filepath.Join(m.cfg.Dir, "jobs", id+".json")
+}
+
+// loadRecord reads an evicted job's record back from disk. Evicted
+// records are final and never rewritten, so no lock is needed.
+func (m *Manager) loadRecord(id string) (*Job, *Error) {
+	data, err := os.ReadFile(m.recordPath(id))
+	if err == nil {
+		var job Job
+		if err = json.Unmarshal(data, &job); err == nil {
+			if job.Trace == "" {
+				job.Trace = string(obslog.DeriveTraceID(job.ID)) // as recover assigns it
+			}
+			return &job, nil
+		}
+	}
+	return nil, &Error{Kind: KindInternal, Msg: fmt.Sprintf("reading job %s: %v", id, err), Status: 500}
 }
 
 // gaugeDepth publishes the queue depth; m.mu must be held.

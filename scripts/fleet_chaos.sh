@@ -163,13 +163,20 @@ start_coordinator "$(worker_urls 3)" "$WORK/report-chaos.txt" "$WORK/fleet-chaos
 wait_shards_done 8 60
 echo "fleet_chaos: C: SIGKILL worker 1 at $(shards_done) shards"
 kill -9 "${WORKER_PIDS[1]}"
-sleep 1
-echo "fleet_chaos: C: SIGKILL coordinator at $(shards_done) shards"
+# Kill the coordinator on a shard count, not after a fixed sleep: with
+# long-polled heartbeats a second is a third of the campaign, and the
+# kill must land mid-campaign for the resume below to prove anything.
+wait_shards_done 14 60
+SHARDS_AT_KILL=$(shards_done)
+echo "fleet_chaos: C: SIGKILL coordinator at $SHARDS_AT_KILL shards"
 kill -9 "$COORD_PID"
 COORD_PID=""
+[ "$SHARDS_AT_KILL" -lt 63 ] || fail "the campaign finished before the coordinator kill ($SHARDS_AT_KILL shards)"
 [ -s "$CKPT" ] || fail "no checkpoint survived the coordinator kill"
 CKPT_LINES_AT_KILL=$(wc -l <"$CKPT")
-[ "$CKPT_LINES_AT_KILL" -ge 9 ] || fail "checkpoint too small at kill: $CKPT_LINES_AT_KILL lines"
+[ "$CKPT_LINES_AT_KILL" -ge 15 ] || fail "checkpoint too small at kill: $CKPT_LINES_AT_KILL lines"
+# One header line plus one per shard: 64 lines is a finished campaign.
+[ "$CKPT_LINES_AT_KILL" -lt 64 ] || fail "the campaign finished before the coordinator kill ($CKPT_LINES_AT_KILL checkpoint lines)"
 
 echo "fleet_chaos: C: restarting coordinator (worker 1 still dead) from $CKPT_LINES_AT_KILL checkpoint lines"
 start_coordinator "$(worker_urls 3)" "$WORK/report-chaos.txt" "$WORK/fleet-chaos-2.jsonl" \
@@ -202,7 +209,7 @@ cmp "$WORK/report-direct.txt" "$WORK/report-chaos.txt" ||
     fail "chaos-run merged report differs from the direct run"
 grep -q '"msg":"fleet start"' "$WORK/fleet-chaos-2.jsonl" || fail "no fleet-start event after restart"
 RESUMED=$(grep '"msg":"fleet start"' "$WORK/fleet-chaos-2.jsonl" | grep -o '"resumed":[0-9]*' | grep -o '[0-9]*' || true)
-[ -n "$RESUMED" ] && [ "$RESUMED" -ge 8 ] || fail "restarted coordinator resumed only ${RESUMED:-0} shards (checkpoint had $CKPT_LINES_AT_KILL lines)"
+[ -n "$RESUMED" ] && [ "$RESUMED" -ge 14 ] || fail "restarted coordinator resumed only ${RESUMED:-0} shards (checkpoint had $CKPT_LINES_AT_KILL lines)"
 grep -q '"msg":"shard retry"' "$WORK/fleet-chaos-1.jsonl" "$WORK/fleet-chaos-2.jsonl" ||
     fail "no shard-retry events in the chaos logs despite a killed worker"
 
